@@ -12,48 +12,6 @@ int u256::highest_bit() const {
   return -1;
 }
 
-bool u256::add_with_carry(const u256& a, const u256& b, u256& out) {
-  unsigned __int128 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 s = static_cast<unsigned __int128>(a.limb[i]) +
-                          b.limb[i] + carry;
-    out.limb[i] = static_cast<std::uint64_t>(s);
-    carry = s >> 64;
-  }
-  return carry != 0;
-}
-
-bool u256::sub_with_borrow(const u256& a, const u256& b, u256& out) {
-  unsigned __int128 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 d = static_cast<unsigned __int128>(a.limb[i]) -
-                          b.limb[i] - borrow;
-    out.limb[i] = static_cast<std::uint64_t>(d);
-    borrow = (d >> 64) & 1;
-  }
-  return borrow != 0;
-}
-
-std::pair<u256, u256> u256::mul_wide(const u256& a, const u256& b) {
-  std::uint64_t prod[8] = {};
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      unsigned __int128 cur = static_cast<unsigned __int128>(a.limb[i]) *
-                                  b.limb[j] +
-                              prod[i + j] + carry;
-      prod[i + j] = static_cast<std::uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    prod[i + 4] = static_cast<std::uint64_t>(carry);
-  }
-  u256 lo{prod[0], prod[1], prod[2], prod[3]};
-  u256 hi{prod[4], prod[5], prod[6], prod[7]};
-  return {hi, lo};
-}
-
-u256 u256::mul_lo(const u256& b) const { return mul_wide(*this, b).second; }
-
 u256 u256::operator<<(unsigned n) const {
   if (n >= 256) return {};
   u256 r;
@@ -92,66 +50,73 @@ u256 u256::operator>>(unsigned n) const {
   return r;
 }
 
-u256 u256::mod(const u256& m) const {
-  if (m.is_zero()) throw std::invalid_argument("u256::mod by zero");
-  if (*this < m) return *this;
-  // Binary long division: align m with the dividend's highest bit and
-  // conditionally subtract while shifting back down.
-  int shift = highest_bit() - m.highest_bit();
-  u256 rem = *this;
-  u256 d = m << static_cast<unsigned>(shift);
-  for (int i = shift; i >= 0; --i) {
-    if (!(rem < d)) rem = rem - d;
-    d = d >> 1;
-  }
-  return rem;
-}
-
 u256 u256::mod_wide(const u256& hi, const u256& lo, const u256& m) {
   if (m.is_zero()) throw std::invalid_argument("u256::mod_wide by zero");
-  // Process the 512-bit value bit by bit from the top, maintaining
-  // rem < m as an invariant. 512 iterations of shift + conditional subtract.
-  u256 rem;
-  auto feed = [&](const u256& word) {
-    for (int i = 255; i >= 0; --i) {
-      bool top = rem.bit(255);
-      rem = rem << 1;
-      if (word.bit(static_cast<unsigned>(i))) rem.limb[0] |= 1;
-      if (top || !(rem < m)) rem = rem - m;
-    }
+  using u128 = unsigned __int128;
+  const std::uint64_t num[8] = {lo.limb[0], lo.limb[1], lo.limb[2],
+                                lo.limb[3], hi.limb[0], hi.limb[1],
+                                hi.limb[2], hi.limb[3]};
+  int n = 4;  // significant limbs of the divisor
+  while (m.limb[n - 1] == 0) --n;
+  int len = 8;  // significant limbs of the dividend
+  while (len > 0 && num[len - 1] == 0) --len;
+  if (len < n) return lo;  // dividend < 2^(64(n-1)) <= m
+
+  // Normalize so the divisor's top bit is set; the quotient digit estimate
+  // from the top two dividend words is then at most two too large.
+  const int s = std::countl_zero(m.limb[n - 1]);
+  auto shl = [s](std::uint64_t cur, std::uint64_t below) {
+    return s == 0 ? cur : (cur << s) | (below >> (64 - s));
   };
-  feed(hi);
-  feed(lo);
-  return rem;
-}
+  std::uint64_t v[4];
+  for (int i = n - 1; i > 0; --i) v[i] = shl(m.limb[i], m.limb[i - 1]);
+  v[0] = m.limb[0] << s;
+  std::uint64_t u[9];
+  u[len] = shl(0, num[len - 1]);
+  for (int i = len - 1; i > 0; --i) u[i] = shl(num[i], num[i - 1]);
+  u[0] = num[0] << s;
 
-u256 u256::mulmod(const u256& a, const u256& b, const u256& m) {
-  auto [hi, lo] = mul_wide(a, b);
-  return mod_wide(hi, lo, m);
-}
-
-u256 u256::addmod(const u256& a, const u256& b, const u256& m) {
-  u256 r;
-  bool carry = add_with_carry(a, b, r);
-  if (carry || !(r < m)) r = r - m;
-  return r;
-}
-
-u256 u256::submod(const u256& a, const u256& b, const u256& m) {
-  u256 r;
-  if (sub_with_borrow(a, b, r)) r = r + m;
-  return r;
-}
-
-u256 u256::powmod(const u256& a, const u256& e, const u256& m) {
-  u256 result{1};
-  u256 base = a.mod(m);
-  int top = e.highest_bit();
-  for (int i = 0; i <= top; ++i) {
-    if (e.bit(static_cast<unsigned>(i))) result = mulmod(result, base, m);
-    base = mulmod(base, base, m);
+  for (int j = len - n; j >= 0; --j) {
+    const u128 top = (static_cast<u128>(u[j + n]) << 64) | u[j + n - 1];
+    u128 qhat = top / v[n - 1];
+    u128 rhat = top - qhat * v[n - 1];
+    while ((qhat >> 64) != 0 ||
+           (n > 1 && qhat * v[n - 2] > ((rhat << 64) | u[j + n - 2]))) {
+      --qhat;
+      rhat += v[n - 1];
+      if ((rhat >> 64) != 0) break;
+    }
+    // u[j..j+n] -= qhat * v
+    const auto q = static_cast<std::uint64_t>(qhat);
+    std::uint64_t mul_carry = 0, borrow = 0;
+    for (int i = 0; i < n; ++i) {
+      const u128 p = static_cast<u128>(q) * v[i] + mul_carry;
+      mul_carry = static_cast<std::uint64_t>(p >> 64);
+      const u128 d = static_cast<u128>(u[i + j]) -
+                     static_cast<std::uint64_t>(p) - borrow;
+      u[i + j] = static_cast<std::uint64_t>(d);
+      borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+    }
+    const u128 d = static_cast<u128>(u[j + n]) - mul_carry - borrow;
+    u[j + n] = static_cast<std::uint64_t>(d);
+    if (((d >> 64) & 1) != 0) {
+      // qhat was one too large: add the divisor back once.
+      std::uint64_t carry = 0;
+      for (int i = 0; i < n; ++i) {
+        const u128 t = static_cast<u128>(u[i + j]) + v[i] + carry;
+        u[i + j] = static_cast<std::uint64_t>(t);
+        carry = static_cast<std::uint64_t>(t >> 64);
+      }
+      u[j + n] += carry;
+    }
   }
-  return result;
+
+  // The remainder sits in u[0..n-1], still shifted left by s.
+  u256 r;
+  for (int i = 0; i < n; ++i) {
+    r.limb[i] = s == 0 ? u[i] : (u[i] >> s) | (u[i + 1] << (64 - s));
+  }
+  return r;
 }
 
 namespace {

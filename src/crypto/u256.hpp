@@ -41,15 +41,48 @@ struct u256 {
   [[nodiscard]] int highest_bit() const;
 
   /// Addition modulo 2^256; returns the carry out.
-  static bool add_with_carry(const u256& a, const u256& b, u256& out);
+  static bool add_with_carry(const u256& a, const u256& b, u256& out) {
+    unsigned __int128 carry = 0;
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      carry += static_cast<unsigned __int128>(a.limb[i]) + b.limb[i];
+      out.limb[i] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+    return carry != 0;
+  }
   /// Subtraction modulo 2^256; returns true if a borrow occurred (a < b).
-  static bool sub_with_borrow(const u256& a, const u256& b, u256& out);
+  static bool sub_with_borrow(const u256& a, const u256& b, u256& out) {
+    std::uint64_t borrow = 0;
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      unsigned __int128 d =
+          static_cast<unsigned __int128>(a.limb[i]) - b.limb[i] - borrow;
+      out.limb[i] = static_cast<std::uint64_t>(d);
+      borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+    }
+    return borrow != 0;
+  }
 
   /// Full 256x256 -> 512-bit product, returned as {high, low}.
-  static std::pair<u256, u256> mul_wide(const u256& a, const u256& b);
-
-  /// (this * b) mod 2^256.
-  [[nodiscard]] u256 mul_lo(const u256& b) const;
+  static std::pair<u256, u256> mul_wide(const u256& a, const u256& b) {
+    std::uint64_t prod[8] = {};
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      std::uint64_t carry = 0;
+#pragma GCC unroll 4
+      for (int j = 0; j < 4; ++j) {
+        unsigned __int128 cur =
+            static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] +
+            prod[i + j] + carry;
+        prod[i + j] = static_cast<std::uint64_t>(cur);
+        carry = static_cast<std::uint64_t>(cur >> 64);
+      }
+      prod[i + 4] = carry;
+    }
+    return {u256{prod[4], prod[5], prod[6], prod[7]},
+            u256{prod[0], prod[1], prod[2], prod[3]}};
+  }
 
   friend constexpr bool operator==(const u256&, const u256&) = default;
   [[nodiscard]] std::strong_ordering operator<=>(const u256& o) const {
@@ -85,20 +118,33 @@ struct u256 {
             limb[3] ^ o.limb[3]};
   }
 
-  /// Remainder of division by a non-zero modulus (binary long division).
-  [[nodiscard]] u256 mod(const u256& m) const;
+  /// Remainder of division by a non-zero modulus.
+  [[nodiscard]] u256 mod(const u256& m) const {
+    return mod_wide(u256{}, *this, m);
+  }
 
-  /// Reduce a 512-bit value {hi, lo} modulo m (m != 0).
+  /// Reduce a 512-bit value {hi, lo} modulo m (m != 0) by word-level long
+  /// division (Knuth's Algorithm D), keeping only the remainder.
   static u256 mod_wide(const u256& hi, const u256& lo, const u256& m);
 
   /// (a * b) mod m via the wide product.
-  static u256 mulmod(const u256& a, const u256& b, const u256& m);
+  static u256 mulmod(const u256& a, const u256& b, const u256& m) {
+    auto [hi, lo] = mul_wide(a, b);
+    return mod_wide(hi, lo, m);
+  }
   /// (a + b) mod m; requires a, b < m.
-  static u256 addmod(const u256& a, const u256& b, const u256& m);
+  static u256 addmod(const u256& a, const u256& b, const u256& m) {
+    u256 r;
+    bool carry = add_with_carry(a, b, r);
+    if (carry || !(r < m)) sub_with_borrow(r, m, r);
+    return r;
+  }
   /// (a - b) mod m; requires a, b < m.
-  static u256 submod(const u256& a, const u256& b, const u256& m);
-  /// a^e mod m (square-and-multiply).
-  static u256 powmod(const u256& a, const u256& e, const u256& m);
+  static u256 submod(const u256& a, const u256& b, const u256& m) {
+    u256 r;
+    if (sub_with_borrow(a, b, r)) add_with_carry(r, m, r);
+    return r;
+  }
 
   /// Parse a big-endian hex string (with or without 0x prefix).
   static u256 from_hex(std::string_view hex);

@@ -2,13 +2,11 @@
 
 #include <stdexcept>
 
+#include "crypto/ecc.hpp"
+
 namespace zendoo::snark {
 
-// Same prime as crypto::secp256k1::kN, but spelled out here: initializing
-// from the other translation unit's global would hit the static
-// initialization order fiasco.
-const u256 kFieldModulus = u256::from_hex(
-    "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141");
+const u256 kFieldModulus = crypto::secp256k1::kN;
 
 u256 freduce(const u256& a) { return a.mod(kFieldModulus); }
 u256 fadd(const u256& a, const u256& b) {
