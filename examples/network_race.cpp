@@ -63,8 +63,8 @@ int main() {
                   .balance_of(alice.address()),
               (unsigned long long)ptrs[2]->height());
 
-  // Heal: tips are re-announced, side A orphans side B's tip, backfills
-  // the branch via getblock, and reorgs — the FT dies with branch A.
+  // Heal: tips are re-announced, side A orphans side B's tip, header-syncs
+  // and downloads the branch, and reorgs — the FT dies with branch A.
   simnet.heal();
   for (auto* n : ptrs) n->announce_tip();
   simnet.run_until_idle();
