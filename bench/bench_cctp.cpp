@@ -6,7 +6,7 @@
 // withdrawal-epoch cycle (Figs. 6-8, 11, 14) vs per-epoch payment count —
 // including epoch proof generation, certificate submission and MC-side
 // finalization.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include "core/engine.hpp"
 #include "sim/workload.hpp"
@@ -121,5 +121,3 @@ void BM_BtrRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_BtrRoundTrip)->Unit(benchmark::kMillisecond)->Iterations(32);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("cctp");

@@ -2,7 +2,7 @@
 //
 // Series: commitment build vs #sidechains and #txs per sidechain;
 // membership proof (mproof) and proof-of-no-data generation/verification.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include "crypto/rng.hpp"
 #include "merkle/commitment.hpp"
@@ -82,5 +82,3 @@ void BM_CommitmentAbsence(benchmark::State& state) {
 BENCHMARK(BM_CommitmentAbsence)->RangeMultiplier(4)->Range(1, 256);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("commitment");

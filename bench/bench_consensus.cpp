@@ -5,7 +5,7 @@
 // prefix-sum build), full epoch schedule, stake snapshot construction, and
 // a leader-share distribution counter confirming selection is
 // stake-proportional.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include "crypto/rng.hpp"
 #include "latus/consensus.hpp"
@@ -88,5 +88,3 @@ void BM_LeaderShareFairness(benchmark::State& state) {
 BENCHMARK(BM_LeaderShareFairness)->Iterations(20000);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("consensus");

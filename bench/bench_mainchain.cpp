@@ -4,7 +4,7 @@
 // Series: block validation/connection vs payment count (signature-bound),
 // epoch bookkeeping (finalization sweep) vs number of registered
 // sidechains, and PoW mining cost at the simulation target.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include "mainchain/miner.hpp"
 
@@ -100,5 +100,3 @@ void BM_PowMining(benchmark::State& state) {
 BENCHMARK(BM_PowMining);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("mainchain");

@@ -2,7 +2,7 @@
 //
 // Series: build time vs leaf count (linear), proof generation (O(log n)),
 // proof verification (O(log n)), proof size in hashes (log n).
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include "crypto/rng.hpp"
 #include "merkle/mht.hpp"
@@ -59,5 +59,3 @@ void BM_MhtVerify(benchmark::State& state) {
 BENCHMARK(BM_MhtVerify)->RangeMultiplier(4)->Range(16, 16384)->Complexity();
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("merkle");

@@ -4,7 +4,7 @@
 // Series: insert/erase/prove at various depths (all O(depth), independent
 // of capacity thanks to sparsity), delta merge/hash, and the
 // delta-unspentness check across k epochs.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include "crypto/rng.hpp"
 #include "merkle/mst.hpp"
@@ -120,5 +120,3 @@ BENCHMARK(BM_DeltaUnspentnessCheck)
     ->Complexity();
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("mst");

@@ -10,7 +10,7 @@
 // cluster through the headers-first pipeline. Counters record simulated
 // round-trip cost (ticks, delivered messages, announce rounds), not just
 // wall time.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include <memory>
 
@@ -291,5 +291,3 @@ BENCHMARK(BM_PartitionStorm)
     ->Iterations(2);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("net");

@@ -7,7 +7,7 @@
 // the pool, so T maps to worker_threads = T-1); T=0 is the inline
 // (pre-pipeline) reference. The cache is disabled for the raw sweeps so
 // repeated iterations re-verify every check.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include <map>
 #include <stdexcept>
@@ -302,5 +302,3 @@ BENCHMARK(BM_DryRunThenConnect)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("validation");

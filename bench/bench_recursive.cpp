@@ -6,7 +6,7 @@
 // + n-1 merges, depth ceil(log2 n)); two-level block/epoch composition vs
 // flat; verification constant regardless of chain length; proof size
 // constant (32 bytes).
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include "crypto/rng.hpp"
 #include "snark/recursive.hpp"
@@ -148,5 +148,3 @@ BENCHMARK(BM_SequentialMergeAblation)
     ->Complexity();
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("recursive");

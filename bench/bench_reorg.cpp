@@ -6,7 +6,7 @@
 // O(d), independent of L. A from-genesis replay (the pre-undo design)
 // would instead scale with L; BM_ReorgVsChainLength makes the difference
 // visible directly.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 #include "mainchain/miner.hpp"
 
 namespace {
@@ -102,5 +102,3 @@ void BM_ReorgVsDepth(benchmark::State& state) {
 BENCHMARK(BM_ReorgVsDepth)->RangeMultiplier(2)->Range(1, 128);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("reorg");

@@ -4,7 +4,7 @@
 // Series: R1CS satisfiability checking / Prove time vs constraint count
 // (linear — the prover must evaluate the whole circuit) and Verify time vs
 // constraint count (constant — succinctness), plus constant proof size.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include <memory>
 
@@ -87,5 +87,3 @@ void BM_SnarkSetup(benchmark::State& state) {
 BENCHMARK(BM_SnarkSetup)->RangeMultiplier(16)->Range(16, 4096);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("snark");

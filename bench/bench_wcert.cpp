@@ -11,7 +11,7 @@
 //
 // Expected shape: Zendoo flat and microseconds; baseline linear in m;
 // naive linear in epoch transaction count and orders of magnitude larger.
-#include "bench_json.hpp"
+#include <benchmark/benchmark.h>
 
 #include "core/certifier_baseline.hpp"
 #include "crypto/rng.hpp"
@@ -142,5 +142,3 @@ BENCHMARK(BM_NaiveReexecutionVerify)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
-
-ZENDOO_BENCH_MAIN("wcert");

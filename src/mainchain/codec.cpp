@@ -134,7 +134,6 @@ ForwardTransferOutput decode_forward_transfer(Reader& r) {
   ForwardTransferOutput ft;
   ft.ledger_id = r.get_digest();
   std::uint64_t n = r.get_count(kMaxVecElements);
-  ft.receiver_metadata.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     ft.receiver_metadata.push_back(r.get_digest());
   }
@@ -312,7 +311,6 @@ void encode(Writer& w, const BlockLocator& loc) {
 BlockLocator decode_locator(Reader& r) {
   BlockLocator loc;
   std::uint64_t n = r.get_count(kMaxLocatorHashes);
-  loc.hashes.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) loc.hashes.push_back(r.get_digest());
   return loc;
 }
@@ -408,7 +406,6 @@ std::vector<BlockHeader> decode_headers(std::span<const std::uint8_t> data) {
   Reader r(data);
   std::uint64_t n = r.get_count(kMaxHeadersPerMsg);
   std::vector<BlockHeader> headers;
-  headers.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     headers.push_back(decode_block_header(r));
   }
@@ -428,7 +425,6 @@ std::vector<crypto::Digest> decode_inv(std::span<const std::uint8_t> data) {
   Reader r(data);
   std::uint64_t n = r.get_count(kMaxInvElements);
   std::vector<crypto::Digest> hashes;
-  hashes.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) hashes.push_back(r.get_digest());
   r.expect_done();
   return hashes;

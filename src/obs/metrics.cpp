@@ -79,39 +79,40 @@ std::string Registry::labeled(std::string_view family, std::string_view key,
   return out;
 }
 
-void Registry::append_samples(const std::string& name, const Entry& entry,
-                              bool include_wall_clock,
-                              std::vector<Sample>& out) const {
-  if (entry.det == Determinism::kWallClock && !include_wall_clock) return;
-  switch (entry.kind) {
-    case Kind::kCounter:
-    case Kind::kExternalCounter:
-      out.push_back({name, static_cast<const Counter*>(entry.ptr)->value()});
-      break;
-    case Kind::kGauge:
-      out.push_back({name, static_cast<const Gauge*>(entry.ptr)->value()});
-      break;
-    case Kind::kAtomicCounter:
-      out.push_back(
-          {name, static_cast<const AtomicCounter*>(entry.ptr)->value()});
-      break;
-    case Kind::kHistogram: {
-      const auto* h = static_cast<const Histogram*>(entry.ptr);
-      out.push_back({name + ".count", h->count()});
-      out.push_back({name + ".max", h->max()});
-      out.push_back({name + ".sum", h->sum()});
-      break;
+template <class Emit>
+void Registry::for_each_sample(bool include_wall_clock, Emit&& emit) const {
+  // entries_ iterates in name order and histogram sub-samples emit in
+  // suffix order (.count < .max < .sum), and every flattened name keeps
+  // its entry's name as a strict prefix — so the samples come out sorted
+  // without a second pass.
+  for (const auto& [name, entry] : entries_) {
+    if (entry.det == Determinism::kWallClock && !include_wall_clock) continue;
+    const auto histogram = [&](const auto* h) {
+      emit(name, ".count", h->count());
+      emit(name, ".max", h->max());
+      emit(name, ".sum", h->sum());
+    };
+    switch (entry.kind) {
+      case Kind::kCounter:
+      case Kind::kExternalCounter:
+        emit(name, "", static_cast<const Counter*>(entry.ptr)->value());
+        break;
+      case Kind::kGauge:
+        emit(name, "", static_cast<const Gauge*>(entry.ptr)->value());
+        break;
+      case Kind::kAtomicCounter:
+        emit(name, "", static_cast<const AtomicCounter*>(entry.ptr)->value());
+        break;
+      case Kind::kHistogram:
+        histogram(static_cast<const Histogram*>(entry.ptr));
+        break;
+      case Kind::kAtomicHistogram:
+        histogram(static_cast<const AtomicHistogram*>(entry.ptr));
+        break;
+      case Kind::kComputed:
+        emit(name, "", entry.computed());
+        break;
     }
-    case Kind::kAtomicHistogram: {
-      const auto* h = static_cast<const AtomicHistogram*>(entry.ptr);
-      out.push_back({name + ".count", h->count()});
-      out.push_back({name + ".max", h->max()});
-      out.push_back({name + ".sum", h->sum()});
-      break;
-    }
-    case Kind::kComputed:
-      out.push_back({name, entry.computed()});
-      break;
   }
 }
 
@@ -119,54 +120,19 @@ std::vector<Sample> Registry::collect(bool include_wall_clock) const {
   std::lock_guard lock(mu_);
   std::vector<Sample> out;
   out.reserve(entries_.size());
-  // entries_ iterates in name order and histogram sub-samples append in
-  // suffix order (.count < .max < .sum), and every flattened name keeps
-  // its entry's name as a strict prefix — so the output is sorted
-  // without a second pass.
-  for (const auto& [name, entry] : entries_) {
-    append_samples(name, entry, include_wall_clock, out);
-  }
+  for_each_sample(include_wall_clock,
+                  [&](const std::string& name, const char* suffix,
+                      std::uint64_t v) { out.push_back({name + suffix, v}); });
   return out;
 }
 
 void Registry::collect_values(bool include_wall_clock,
                               std::vector<std::uint64_t>& out) const {
   std::lock_guard lock(mu_);
-  // Mirrors collect()/append_samples exactly (same entry order, same
-  // histogram flattening order), minus the name strings — index i of
-  // this output corresponds to index i of collect()'s.
-  for (const auto& [name, entry] : entries_) {
-    if (entry.det == Determinism::kWallClock && !include_wall_clock) continue;
-    switch (entry.kind) {
-      case Kind::kCounter:
-      case Kind::kExternalCounter:
-        out.push_back(static_cast<const Counter*>(entry.ptr)->value());
-        break;
-      case Kind::kGauge:
-        out.push_back(static_cast<const Gauge*>(entry.ptr)->value());
-        break;
-      case Kind::kAtomicCounter:
-        out.push_back(static_cast<const AtomicCounter*>(entry.ptr)->value());
-        break;
-      case Kind::kHistogram: {
-        const auto* h = static_cast<const Histogram*>(entry.ptr);
-        out.push_back(h->count());
-        out.push_back(h->max());
-        out.push_back(h->sum());
-        break;
-      }
-      case Kind::kAtomicHistogram: {
-        const auto* h = static_cast<const AtomicHistogram*>(entry.ptr);
-        out.push_back(h->count());
-        out.push_back(h->max());
-        out.push_back(h->sum());
-        break;
-      }
-      case Kind::kComputed:
-        out.push_back(entry.computed());
-        break;
-    }
-  }
+  for_each_sample(include_wall_clock,
+                  [&](const std::string&, const char*, std::uint64_t v) {
+                    out.push_back(v);
+                  });
 }
 
 std::optional<std::uint64_t> Registry::value(std::string_view name) const {

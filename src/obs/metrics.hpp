@@ -255,9 +255,11 @@ class Registry {
   };
 
   Entry& register_entry(std::string name, Kind kind, Determinism det);
-  void append_samples(const std::string& name, const Entry& entry,
-                      bool include_wall_clock,
-                      std::vector<Sample>& out) const;
+  /// Calls `emit(name, suffix, value)` for every sample in collect()
+  /// order; the one flattening routine collect() and collect_values()
+  /// share. Caller holds `mu_`.
+  template <class Emit>
+  void for_each_sample(bool include_wall_clock, Emit&& emit) const;
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // sorted => sorted collection

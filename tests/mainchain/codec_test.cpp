@@ -5,7 +5,30 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "crypto/rng.hpp"
+
+// Replaces the global allocator for this test binary so a test can
+// record the largest single allocation made while it runs.
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    std::size_t prev = g_largest_allocation.load(std::memory_order_relaxed);
+    while (n > prev && !g_largest_allocation.compare_exchange_weak(prev, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace zendoo::mainchain::codec {
 namespace {
@@ -14,6 +37,24 @@ using crypto::Digest;
 using crypto::Domain;
 using crypto::hash_str;
 using crypto::Rng;
+
+// Runs `decode`, which must throw CodecError, and checks that no single
+// allocation made meanwhile reaches 64 KiB.
+template <class Decode>
+void expect_rejected_without_large_allocation(Decode decode,
+                                              const char* what) {
+  bool rejected = false;
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  try {
+    decode();
+  } catch (const CodecError&) {
+    rejected = true;
+  }
+  g_track_allocations = false;
+  EXPECT_TRUE(rejected) << what;
+  EXPECT_LT(g_largest_allocation.load(), 64u * 1024) << what;
+}
 
 Transaction random_tx(Rng& rng, bool coinbase = false) {
   Transaction tx;
@@ -244,6 +285,32 @@ TEST(Codec, HostileCountRejected) {
   w.put_u64(0);                       // coinbase_height
   w.put_u64(std::uint64_t{1} << 63);  // inputs count
   EXPECT_THROW((void)decode_transaction(w.bytes()), CodecError);
+}
+
+TEST(Codec, HostileCountAllocatesNothingForTheClaim) {
+  // Each payload claims its cap's worth of entries, then ends. The
+  // decoder must reject it without allocating for entries it never read.
+  Writer ft_block;  // ~250 bytes claiming 2^20 receiver_metadata digests
+  encode(ft_block, BlockHeader{});
+  ft_block.put_u64(1);        // transactions
+  ft_block.put_bool(true);    // is_coinbase
+  ft_block.put_u64(0);        // coinbase_height
+  ft_block.put_u64(0);        // inputs
+  ft_block.put_u64(0);        // outputs
+  ft_block.put_u64(1);        // forward transfers
+  ft_block.put_digest(Digest{});  // ledger_id
+  ft_block.put_u64(std::uint64_t{1} << 20);
+  Writer headers;
+  headers.put_u64(kMaxHeadersPerMsg);
+  Writer inv;
+  inv.put_u64(kMaxInvElements);
+
+  expect_rejected_without_large_allocation(
+      [&] { (void)decode_block(ft_block.bytes()); }, "forward transfer");
+  expect_rejected_without_large_allocation(
+      [&] { (void)decode_headers(headers.bytes()); }, "headers");
+  expect_rejected_without_large_allocation(
+      [&] { (void)decode_inv(inv.bytes()); }, "inv");
 }
 
 TEST(Codec, InvalidBooleanRejected) {

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_merge.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -230,54 +229,3 @@ TEST(Json, EscapeRoundTripsThroughParse) {
 }  // namespace
 }  // namespace zendoo::obs
 
-// ---- bench_merge: duplicate-name aggregation --------------------------------
-
-namespace zendoo::bench {
-namespace {
-
-Record make(const std::string& name, long long iters, double real, double cpu,
-            std::vector<std::pair<std::string, double>> counters = {}) {
-  Record r;
-  r.name = name;
-  r.iterations = iters;
-  r.real_time = real;
-  r.cpu_time = cpu;
-  r.time_unit = "ns";
-  r.counters = std::move(counters);
-  return r;
-}
-
-TEST(BenchMerge, DistinctNamesPassThroughInOrder) {
-  const auto out = merge_records({make("b", 1, 10, 10), make("a", 1, 20, 20)});
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].name, "b");  // first-appearance order, not sorted
-  EXPECT_EQ(out[1].name, "a");
-}
-
-TEST(BenchMerge, DuplicatesMergeWithIterationWeightedMeans) {
-  // Run 1: 100 iters at 10ns; run 2: 300 iters at 20ns.
-  const auto out = merge_records({
-      make("bm", 100, 10.0, 8.0, {{"events", 50.0}}),
-      make("bm", 300, 20.0, 16.0, {{"events", 70.0}, {"extra", 4.0}}),
-  });
-  ASSERT_EQ(out.size(), 1u);
-  const Record& r = out[0];
-  EXPECT_EQ(r.iterations, 400);
-  EXPECT_DOUBLE_EQ(r.real_time, (10.0 * 100 + 20.0 * 300) / 400);
-  EXPECT_DOUBLE_EQ(r.cpu_time, (8.0 * 100 + 16.0 * 300) / 400);
-  ASSERT_EQ(r.counters.size(), 2u);
-  EXPECT_EQ(r.counters[0].first, "events");
-  EXPECT_DOUBLE_EQ(r.counters[0].second, (50.0 * 100 + 70.0 * 300) / 400);
-  // "extra" missing from run 1 contributes 0 for run 1's weight.
-  EXPECT_EQ(r.counters[1].first, "extra");
-  EXPECT_DOUBLE_EQ(r.counters[1].second, (0.0 * 100 + 4.0 * 300) / 400);
-}
-
-TEST(BenchMerge, MismatchedTimeUnitsThrow) {
-  Record us = make("bm", 1, 1, 1);
-  us.time_unit = "us";
-  EXPECT_THROW(merge_records({make("bm", 1, 1, 1), us}), std::runtime_error);
-}
-
-}  // namespace
-}  // namespace zendoo::bench
