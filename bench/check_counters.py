@@ -12,12 +12,12 @@ fields, except keys ending in "_per_sec", which are host-dependent rates.
 Plain counters are deterministic functions of the seed and scenario, so:
   - within each file, every repetition of a row must carry the same plain
     counters with the same values;
-  - for every row name present in both files, the plain counters must
-    match.
+  - both files must carry the same row names: a row missing from either
+    file (a deleted, renamed or filtered-out sweep) is a mismatch;
+  - for every row, the plain counters must match across the two files.
 Values are compared up to a relative tolerance of 1e-9 that absorbs float
-formatting. Rows present in only one file are skipped, but at least one
-row must match by name so that a renamed or filtered-out sweep cannot pass
-vacuously.
+formatting. At least one row must be compared, so two empty files cannot
+pass vacuously.
 
 Exits 0 when every compared counter matches, 1 otherwise, listing each
 mismatch.
@@ -76,6 +76,9 @@ def main(argv):
     committed, mismatches = load_rows(argv[1])
     fresh, fresh_mismatches = load_rows(argv[2])
     mismatches += fresh_mismatches
+    for name in sorted(set(committed) ^ set(fresh)):
+        side = "fresh" if name in committed else "committed"
+        mismatches.append(f"{name}: row missing from {side}")
     shared = sorted(set(committed) & set(fresh))
     for name in shared:
         mismatches += diff(committed[name], fresh[name], name, "committed", "fresh")

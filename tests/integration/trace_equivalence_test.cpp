@@ -176,7 +176,7 @@ Digest adversarial_trace(std::uint64_t seed, net::TraceMode mode,
   }
   EXPECT_EQ(c[3].tip(), c[0].tip()) << "seed " << seed;
   c.net.run_until(c.net.now() +
-                  2 * c[3].sync_config().dos.orphan_suspect_grace);
+                  2 * net::NetNode::kOrphanSuspectGrace);
   c.net.run_until_idle();
   if (trace_out != nullptr) *trace_out = c.net.trace();
   if (sums_out != nullptr) {

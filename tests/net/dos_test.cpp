@@ -31,14 +31,13 @@ struct DosRig {
   NetNode victim;
   NodeId attacker;
 
-  explicit DosRig(std::uint64_t seed, SyncConfig sync = {})
+  explicit DosRig(std::uint64_t seed)
       : net(seed),
         victim(net, mainchain::ChainParams{},
                crypto::KeyPair::from_seed(crypto::Hasher(Domain::kGeneric)
                                               .write_str("dos-victim")
                                               .write_u64(seed)
-                                              .finalize()),
-               sync),
+                                              .finalize())),
         attacker(net.add_node([](NodeId, const SimNet::PayloadPtr&) {})) {}
 
   void inject(MsgType type, const std::vector<std::uint8_t>& body) {
@@ -49,8 +48,8 @@ struct DosRig {
 
 TEST(Dos, MalformedPayloadsBanAfterThreshold) {
   DosRig rig(11);
-  const int per = rig.victim.sync_config().dos.malformed_penalty;
-  const int threshold = rig.victim.sync_config().dos.ban_threshold;
+  const int per = NetNode::kMalformedPenalty;
+  const int threshold = NetNode::kBanThreshold;
   const int needed = (threshold + per - 1) / per;  // 5 at the defaults
 
   for (int i = 0; i < needed - 1; ++i) {
@@ -80,12 +79,12 @@ TEST(Dos, UnknownMessageTagScoresAsMalformed) {
   rig.net.run_until_idle();
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).malformed, 1u);
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).score,
-            rig.victim.sync_config().dos.malformed_penalty);
+            NetNode::kMalformedPenalty);
 }
 
 TEST(Dos, OversizedHeaderBatchBansInstantly) {
   DosRig rig(17);
-  const std::size_t batch = rig.victim.sync_config().headers_batch;
+  const std::size_t batch = NetNode::kHeadersBatch;
   rig.inject(MsgType::kHeaders,
              mainchain::codec::encode_headers(
                  std::vector<mainchain::BlockHeader>(batch + 1)));
@@ -97,7 +96,7 @@ TEST(Dos, OversizedHeaderBatchBansInstantly) {
 
 TEST(Dos, OversizedGetDataServedNothingAndBans) {
   DosRig rig(19);
-  const std::size_t cap = rig.victim.sync_config().dos.max_get_data;
+  const std::size_t cap = NetNode::kMaxGetData;
   rig.inject(MsgType::kGetData,
              mainchain::codec::encode_inv(
                  std::vector<crypto::Digest>(cap + 1)));
@@ -108,9 +107,9 @@ TEST(Dos, OversizedGetDataServedNothingAndBans) {
 
 TEST(Dos, FabricatedNotFoundScoresPerMessage) {
   DosRig rig(23);
-  const auto& dos = rig.victim.sync_config().dos;
-  const int needed = (dos.ban_threshold + dos.notfound_abuse_penalty - 1) /
-                     dos.notfound_abuse_penalty;
+  const int needed =
+      (NetNode::kBanThreshold + NetNode::kNotFoundAbusePenalty - 1) /
+      NetNode::kNotFoundAbusePenalty;
   for (int i = 0; i < needed; ++i) {
     // Several fabricated hashes per message: one message = one offense.
     std::vector<crypto::Digest> fake;
@@ -129,10 +128,9 @@ TEST(Dos, FabricatedNotFoundScoresPerMessage) {
 
 TEST(Dos, UnsolicitedHeadersRideFreeBudgetThenScore) {
   DosRig rig(29);
-  const auto& dos = rig.victim.sync_config().dos;
   const auto empty = mainchain::codec::encode_headers({});
 
-  for (std::uint32_t i = 0; i < dos.unsolicited_headers_budget; ++i) {
+  for (std::uint32_t i = 0; i < NetNode::kUnsolicitedHeadersBudget; ++i) {
     rig.inject(MsgType::kHeaders, empty);
   }
   // Late replies to abandoned rounds are honest: no score yet.
@@ -140,26 +138,25 @@ TEST(Dos, UnsolicitedHeadersRideFreeBudgetThenScore) {
   EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
 
   const int past_budget =
-      (dos.ban_threshold + dos.unsolicited_headers_penalty - 1) /
-      dos.unsolicited_headers_penalty;
+      (NetNode::kBanThreshold + NetNode::kUnsolicitedHeadersPenalty - 1) /
+      NetNode::kUnsolicitedHeadersPenalty;
   for (int i = 0; i < past_budget; ++i) {
     rig.inject(MsgType::kHeaders, empty);
   }
   EXPECT_TRUE(rig.victim.peer_banned(rig.attacker));
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).unsolicited_headers,
-            dos.unsolicited_headers_budget +
+            NetNode::kUnsolicitedHeadersBudget +
                 static_cast<std::uint64_t>(past_budget));
 }
 
 TEST(Dos, BanExpiresAndPeerStartsClean) {
-  SyncConfig sync;
-  sync.dos.ban_duration = 100;
-  DosRig rig(31, sync);
+  DosRig rig(31);
   for (int i = 0; i < 5; ++i) rig.inject(MsgType::kBlock, {0xff});
   ASSERT_TRUE(rig.victim.peer_banned(rig.attacker));
   const SimTime banned_at = rig.net.now();
 
-  rig.net.run_until(banned_at + sync.dos.ban_duration + 1);
+  // Simulated time is free: the idle wait processes no events.
+  rig.net.run_until(banned_at + NetNode::kBanDuration + 1);
   EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
   EXPECT_EQ(rig.victim.banned_peer_count(), 0u);
   // The slate is clean: the score reset with the expiry...
@@ -173,56 +170,41 @@ TEST(Dos, BanExpiresAndPeerStartsClean) {
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).bans, 1u);
 }
 
-TEST(Dos, ScoringDisabledNeverBans) {
-  SyncConfig sync;
-  sync.dos.enabled = false;
-  DosRig rig(37, sync);
-  for (int i = 0; i < 50; ++i) rig.inject(MsgType::kBlock, {0xba, 0xad});
-  EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
-  EXPECT_EQ(rig.victim.peer_state(rig.attacker).score, 0);
-  // The per-peer bookkeeping still works; only the penalties are off.
-  EXPECT_EQ(rig.victim.peer_state(rig.attacker).malformed, 50u);
-}
-
 TEST(Dos, ScoreHalvesEveryHalfLife) {
   // zen-style decay: the score left over from past offenses halves per
   // elapsed half-life, applied lazily when the peer is next scored.
-  SyncConfig sync;
-  sync.dos.score_half_life = 100;
-  DosRig rig(43, sync);
-  const int per = sync.dos.malformed_penalty;  // 20 at the defaults
+  DosRig rig(43);
+  const int per = NetNode::kMalformedPenalty;  // 20 at the defaults
 
   rig.inject(MsgType::kBlock, {0xff});
   rig.inject(MsgType::kBlock, {0xff});
   ASSERT_EQ(rig.victim.peer_state(rig.attacker).score, 2 * per);
 
   // One half-life later, the next offense charges onto a halved score.
-  rig.net.run_until(rig.net.now() + sync.dos.score_half_life);
+  rig.net.run_until(rig.net.now() + NetNode::kScoreHalfLife);
   rig.inject(MsgType::kBlock, {0xff});
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).score, (2 * per) / 2 + per);
 
   // Several half-lives of silence wipe the slate almost clean.
-  rig.net.run_until(rig.net.now() + 8 * sync.dos.score_half_life);
+  rig.net.run_until(rig.net.now() + 8 * NetNode::kScoreHalfLife);
   rig.inject(MsgType::kBlock, {0xff});
   EXPECT_EQ(rig.victim.peer_state(rig.attacker).score, per);
   EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
 }
 
 TEST(Dos, SlowFlakyPeerNeverAccumulatesToBan) {
-  // The satellite's motivating case: an honest-but-flaky peer trips one
+  // The motivating case: an honest-but-flaky peer trips one
   // malformed penalty per half-life, forever. Without decay the score
   // ratchets to the 100-point threshold on the 5th offense; with decay
   // it plateaus below 2x the penalty and the peer stays connected.
-  SyncConfig sync;
-  sync.dos.score_half_life = 50;
-  DosRig rig(47, sync);
+  DosRig rig(47);
   for (int i = 0; i < 20; ++i) {
     rig.inject(MsgType::kBlock, {0xba, 0xad});
-    rig.net.run_until(rig.net.now() + sync.dos.score_half_life);
+    rig.net.run_until(rig.net.now() + NetNode::kScoreHalfLife);
   }
   EXPECT_FALSE(rig.victim.peer_banned(rig.attacker));
   EXPECT_LT(rig.victim.peer_state(rig.attacker).score,
-            2 * sync.dos.malformed_penalty);
+            2 * NetNode::kMalformedPenalty);
   // A concentrated burst still bans: the whole burst spans well under
   // one half-life per offense, so at most one halving can interleave —
   // ten penalties overwhelm it regardless of where the boundary falls.
@@ -230,18 +212,6 @@ TEST(Dos, SlowFlakyPeerNeverAccumulatesToBan) {
     rig.inject(MsgType::kBlock, {0xba, 0xad});
   }
   EXPECT_TRUE(rig.victim.peer_banned(rig.attacker));
-}
-
-TEST(Dos, ZeroHalfLifeDisablesDecay) {
-  SyncConfig sync;
-  sync.dos.score_half_life = 0;
-  DosRig rig(53, sync);
-  rig.inject(MsgType::kBlock, {0xff});
-  const int score = rig.victim.peer_state(rig.attacker).score;
-  rig.net.run_until(rig.net.now() + 1'000'000);
-  rig.inject(MsgType::kBlock, {0xff});
-  EXPECT_EQ(rig.victim.peer_state(rig.attacker).score,
-            score + rig.victim.sync_config().dos.malformed_penalty);
 }
 
 TEST(Dos, HonestDeepCatchUpNeverScores) {
@@ -256,7 +226,7 @@ TEST(Dos, HonestDeepCatchUpNeverScores) {
   c[0].announce_tip();
   c.net.run_until_idle();
   // Let every orphan suspect age past the grace period and be judged.
-  c.net.run_until(c.net.now() + 2 * c[0].sync_config().dos.orphan_suspect_grace);
+  c.net.run_until(c.net.now() + 2 * NetNode::kOrphanSuspectGrace);
   c.net.run_until_idle();
 
   ASSERT_EQ(c[3].height(), 100u);

@@ -179,6 +179,13 @@ TEST(NetNode, MalformedPayloadCountedNotFatal) {
 // Headers-first sync
 // ---------------------------------------------------------------------
 
+TEST(HeadersFirst, InFlightWindowFitsTheDefaultOrphanPool) {
+  // Out-of-order bodies must buffer in the orphan pool, not evict each
+  // other. ChainParams is not constexpr, so this cannot be a
+  // static_assert next to kMaxInFlight.
+  EXPECT_LE(NetNode::kMaxInFlight, mainchain::ChainParams{}.max_orphan_blocks);
+}
+
 TEST(HeadersFirst, DeepBehindNodeSyncsInOneAnnounceRound) {
   // Node 4 misses 300 blocks — beyond both the orphan pool (64) and the
   // orphan height window (256) — then catches up through the pipeline.
@@ -253,7 +260,7 @@ TEST(HeadersFirst, NotFoundBouncesRequestsWithoutWaitingForStallTimer) {
   c[1].announce_tip();
   // Everything must be done before the first stall deadline would hit —
   // the bounce, not the timer, moved the requests.
-  c.net.run_until(t0 + c[2].sync_config().stall_timeout - 1);
+  c.net.run_until(t0 + NetNode::kStallTimeout - 1);
   EXPECT_EQ(c[2].height(), 24u);
   EXPECT_EQ(c[2].tip(), c[1].tip());
   EXPECT_GE(c[2].stats().received(MsgType::kNotFound), 1u);
@@ -296,7 +303,7 @@ TEST(HeadersFirst, DeepSyncUnderDeferredParallelValidation) {
   mainchain::ChainParams params;
   params.validation.policy = parallel::CheckPolicy::kDeferred;
   params.validation.worker_threads = 2;
-  NodeCluster c(31, 4, SyncConfig{}, params);
+  NodeCluster c(31, 4, params);
   c.net.partition({{0, 1, 2}, {3}});
   for (int i = 0; i < 128; ++i) c[0].mine();
   c.net.run_until_idle();
@@ -467,8 +474,7 @@ TEST(SchedulerRegression, AllDuplicateFullBatchKeepsHeaderWalkAlive) {
                                             .write_u64(0)
                                             .finalize());
   NetNode victim(net, params, key);
-  ReplayHeaderServer server(net, mined_chain(59, 300),
-                            victim.sync_config().headers_batch);
+  ReplayHeaderServer server(net, mined_chain(59, 300), NetNode::kHeadersBatch);
 
   server.announce(victim.id());
   net.run_until_idle();
@@ -519,8 +525,8 @@ TEST(SchedulerRegression, StallTimerFiresAtEarliestPendingDeadline) {
     ASSERT_TRUE(net.step());
   }
   const SimTime t_header = net.now();
-  const SimTime header_deadline = t_header + victim.sync_config().stall_timeout;
-  ASSERT_GT(header_deadline, t1 + victim.sync_config().stall_timeout);
+  const SimTime header_deadline = t_header + NetNode::kStallTimeout;
+  ASSERT_GT(header_deadline, t1 + NetNode::kStallTimeout);
 
   // By one tick past the header round's own deadline the retry must be
   // out. The flat timer would still be sleeping until t1+64.
@@ -580,7 +586,7 @@ class BannedRoundOwner : public GarbageHeaderPeer {
       return;
     }
     if (oversized_) {
-      send_oversized_batch(from, SyncConfig{}.headers_batch + 1);
+      send_oversized_batch(from, NetNode::kHeadersBatch + 1);
     } else {
       send_bogus_batch(from, 4);
     }
@@ -620,7 +626,7 @@ TEST(SchedulerRegression, OversizedReplyBanMovesHeaderRoundToHonestPeer) {
 
 TEST(SchedulerRegression, InvalidHeaderBanMovesHeaderRoundToHonestPeer) {
   // Same wedge through the per-header path: a PoW-invalid header in the
-  // solicited reply crosses ban_threshold mid-batch.
+  // solicited reply crosses kBanThreshold mid-batch.
   BannedRoundOwnerRun run(/*oversized=*/false);
   EXPECT_TRUE(run.c[1].peer_banned(run.attacker.id()));
   EXPECT_EQ(run.c[1].height(), 3u);
