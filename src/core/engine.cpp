@@ -17,21 +17,14 @@ latus::LatusNode& Engine::add_latus_sidechain(
   if (sidechains_.contains(id)) {
     throw std::invalid_argument("Engine: sidechain id already added");
   }
-  ScEntry entry;
-  entry.node = std::make_unique<latus::LatusNode>(
-      id, start_block, epoch_len, submit_len, mst_depth, slots_per_epoch);
-  entry.start_block = start_block;
-  entry.epoch_len = epoch_len;
-  entry.submit_len = submit_len;
-  entry.mst_depth = mst_depth;
-  entry.slots_per_epoch = slots_per_epoch;
-  entry.forgers = forgers;
-  for (const auto& key : forgers) entry.node->add_forger(key);
-  entry.synced_height = chain_.height();
-
-  mempool_.sidechain_creations.push_back(entry.node->mc_params());
-  auto [it, _] = sidechains_.emplace(id, std::move(entry));
-  return *it->second.node;
+  auto [it, _] = sidechains_.emplace(
+      id, ScEntry{latus::LatusNode(id, start_block, epoch_len, submit_len,
+                                   mst_depth, slots_per_epoch),
+                  chain_.height()});
+  latus::LatusNode& node = it->second.node;
+  for (const auto& key : forgers) node.add_forger(key);
+  mempool_.sidechain_creations.push_back(node.mc_params());
+  return node;
 }
 
 latus::LatusNode& Engine::sidechain(const SidechainId& id) {
@@ -39,14 +32,14 @@ latus::LatusNode& Engine::sidechain(const SidechainId& id) {
   if (it == sidechains_.end()) {
     throw std::invalid_argument("Engine: unknown sidechain");
   }
-  return *it->second.node;
+  return it->second.node;
 }
 
 void Engine::sync_entry(ScEntry& entry, const mainchain::Block& block) {
-  if (std::string err = entry.node->observe_mc_block(block); !err.empty()) {
+  if (std::string err = entry.node.observe_mc_block(block); !err.empty()) {
     throw std::logic_error("Engine: sidechain observe failed: " + err);
   }
-  if (std::string err = entry.node->forge_until_synced(); !err.empty()) {
+  if (std::string err = entry.node.forge_until_synced(); !err.empty()) {
     throw std::logic_error("Engine: sidechain forge failed: " + err);
   }
   entry.synced_height = block.header.height;
@@ -65,7 +58,7 @@ mainchain::Block Engine::step() {
     // Queue any certificates whose epoch just completed; the next MC block
     // lands inside the submission window.
     while (entry.auto_certificates) {
-      auto cert = entry.node->build_certificate();
+      auto cert = entry.node.build_certificate();
       if (!cert) break;
       mempool_.certificates.push_back(std::move(*cert));
     }
@@ -110,34 +103,27 @@ void Engine::set_auto_certificates(const SidechainId& id, bool enabled) {
 
 void Engine::resync_sidechains_after_reorg() {
   for (auto& [id, entry] : sidechains_) {
-    // Fork point between what this node observed and the new active
-    // chain: the highest observed height whose hash is still active.
-    std::uint64_t top = std::min(entry.synced_height, chain_.height());
-    std::uint64_t fork_height = 0;
-    for (std::uint64_t h = top; h >= 1; --h) {
-      auto seen = entry.node->observed_mc_hash(h);
-      if (seen && *seen == chain_.hash_at_height(h)) {
-        fork_height = h;
-        break;
+    // A node that has observed nothing yet just catches up from its
+    // creation height.
+    std::uint64_t replay_from = entry.synced_height + 1;
+    if (entry.node.last_observed_mc_height()) {
+      // Fork point between what this node observed and the new active
+      // chain: the highest observed height whose hash is still active.
+      std::uint64_t top = std::min(entry.synced_height, chain_.height());
+      std::uint64_t fork_height = 0;
+      for (std::uint64_t h = top; h >= 1; --h) {
+        auto seen = entry.node.observed_mc_hash(h);
+        if (seen && *seen == chain_.hash_at_height(h)) {
+          fork_height = h;
+          break;
+        }
       }
-    }
-
-    std::uint64_t replay_from;
-    if (fork_height == entry.synced_height) {
-      // Nothing the node observed was rolled back; just catch up.
-      replay_from = fork_height + 1;
-    } else if (auto restored =
-                   entry.node->rollback_to_mc_ancestor(fork_height)) {
-      replay_from = *restored + 1;
-    } else {
-      // No retained checkpoint covers the fork point: rebuild from
-      // scratch (the pre-checkpoint fallback path).
-      auto fresh = std::make_unique<latus::LatusNode>(
-          id, entry.start_block, entry.epoch_len, entry.submit_len,
-          entry.mst_depth, entry.slots_per_epoch);
-      for (const auto& key : entry.forgers) fresh->add_forger(key);
-      entry.node = std::move(fresh);
-      replay_from = 1;
+      // Unless nothing the node observed was rolled back, roll it back in
+      // place; its base checkpoint covers every fork point.
+      if (fork_height != entry.synced_height) {
+        replay_from =
+            entry.node.rollback_to_mc_ancestor(fork_height).value() + 1;
+      }
     }
 
     entry.synced_height = replay_from - 1;
@@ -148,7 +134,7 @@ void Engine::resync_sidechains_after_reorg() {
       }
       sync_entry(entry, *b);
       while (entry.auto_certificates) {
-        auto cert = entry.node->build_certificate();
+        auto cert = entry.node.build_certificate();
         if (!cert) break;
         // Certificates for already-finalized epochs would be rejected by
         // the MC (outside their window); only re-queue fresh ones.

@@ -9,8 +9,6 @@
 // inside their submission window (§4.1.2).
 #pragma once
 
-#include <memory>
-
 #include "latus/node.hpp"
 #include "mainchain/miner.hpp"
 
@@ -71,21 +69,17 @@ class Engine {
   /// Re-sync every sidechain node with the (possibly reorged) MC active
   /// chain — the §5.1 "mainchain forks resolution" behaviour: SC blocks
   /// that referenced rolled-back MC blocks are unwound, and the sidechain
-  /// re-syncs along the new branch. Each node is rolled back to its
-  /// newest checkpoint at or below the fork point and replays only the
-  /// blocks after it (LatusNode::rollback_to_mc_ancestor); nodes whose
-  /// fork point undercuts every retained checkpoint are rebuilt from
-  /// scratch. SC-local mempool content is dropped.
+  /// re-syncs along the new branch. Each node is rolled back in place to
+  /// its newest checkpoint at or below the fork point, or to its base
+  /// checkpoint from before its first observed block, and replays only
+  /// the blocks after it (LatusNode::rollback_to_mc_ancestor). A node
+  /// that has observed nothing yet catches up from its creation height.
+  /// SC-local mempool content is dropped.
   void resync_sidechains_after_reorg();
 
  private:
   struct ScEntry {
-    std::unique_ptr<latus::LatusNode> node;
-    // Construction arguments, kept for reorg resync.
-    std::uint64_t start_block, epoch_len, submit_len;
-    unsigned mst_depth;
-    std::uint64_t slots_per_epoch;
-    std::vector<crypto::KeyPair> forgers;
+    latus::LatusNode node;
     std::uint64_t synced_height = 0;  ///< last MC height fed to the node
     bool auto_certificates = true;
   };

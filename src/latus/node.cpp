@@ -39,6 +39,11 @@ const crypto::KeyPair* LatusNode::forger_for(const Address& addr) const {
 std::string LatusNode::observe_mc_block(const mainchain::Block& block) {
   std::uint64_t h = block.header.height;
   Digest hash = block.hash();
+  if (checkpoints_.empty()) {
+    // Base checkpoint: the node as it was before its first observed MC
+    // block. It has observed nothing, so it covers every fork point.
+    checkpoints_.emplace_back(h - 1, std::make_shared<const LatusNode>(*this));
+  }
   if (last_mc_height_) {
     if (h != *last_mc_height_ + 1) {
       return "MC blocks must be observed in height order";
@@ -148,6 +153,18 @@ std::string LatusNode::forge_block() {
   block.header.slot = slot;
   block.header.forger = leader;
 
+  // Applies `tx` and, on success, records the Def 2.4 transition step
+  // (commitment before, commitment after, pre-state witness) for the
+  // epoch proof.
+  auto record_step = [this](auto& tx, auto apply) -> std::string {
+    Digest before = state_.commitment();
+    LatusState pre = state_;
+    if (std::string err = apply(state_, tx); !err.empty()) return err;
+    epoch_steps_.push_back(snark::TransitionStep{
+        before, state_.commitment(), TransitionWitness{std::move(pre), tx}});
+    return "";
+  };
+
   // Consume queued MC references in order, stopping after a withdrawal
   // epoch boundary block (§5.1.1's simplifying restriction).
   bool boundary = false;
@@ -158,29 +175,17 @@ std::string LatusNode::forge_block() {
       return "queued MC reference invalid: " + err;
     }
     if (ref.forward_transfers) {
-      Digest before = state_.commitment();
-      LatusState pre = state_;
       if (std::string err =
-              apply_forward_transfers(state_, *ref.forward_transfers);
+              record_step(*ref.forward_transfers, apply_forward_transfers);
           !err.empty()) {
         return err;
       }
-      snark::TransitionStep step{before, state_.commitment(),
-                                 TransitionWitness{std::move(pre),
-                                                   *ref.forward_transfers}};
-      epoch_steps_.push_back(std::move(step));
     }
     if (ref.bt_requests) {
-      Digest before = state_.commitment();
-      LatusState pre = state_;
-      if (std::string err = apply_btr(state_, *ref.bt_requests);
+      if (std::string err = record_step(*ref.bt_requests, apply_btr);
           !err.empty()) {
         return err;
       }
-      snark::TransitionStep step{before, state_.commitment(),
-                                 TransitionWitness{std::move(pre),
-                                                   *ref.bt_requests}};
-      epoch_steps_.push_back(std::move(step));
     }
     if (mc_height >= mc_params_.start_block &&
         mc_height == mc_params_.epoch_end(current_we_)) {
@@ -192,23 +197,13 @@ std::string LatusNode::forge_block() {
   if (!boundary) {
     // Regular SC transactions; invalid ones are dropped (mempool policy).
     for (PaymentTx& tx : mempool_payments_) {
-      Digest before = state_.commitment();
-      LatusState pre = state_;
-      if (apply_payment(state_, tx).empty()) {
-        snark::TransitionStep step{before, state_.commitment(),
-                                   TransitionWitness{std::move(pre), tx}};
-        epoch_steps_.push_back(std::move(step));
+      if (record_step(tx, apply_payment).empty()) {
         block.payments.push_back(std::move(tx));
       }
     }
     mempool_payments_.clear();
     for (BackwardTransferTx& tx : mempool_bts_) {
-      Digest before = state_.commitment();
-      LatusState pre = state_;
-      if (apply_backward_transfer(state_, tx).empty()) {
-        snark::TransitionStep step{before, state_.commitment(),
-                                   TransitionWitness{std::move(pre), tx}};
-        epoch_steps_.push_back(std::move(step));
+      if (record_step(tx, apply_backward_transfer).empty()) {
         block.bt_txs.push_back(std::move(tx));
       }
     }
@@ -276,28 +271,29 @@ void LatusNode::maybe_checkpoint() {
   if (!last_mc_height_) return;
   std::uint64_t h = *last_mc_height_;
   if (h % kCheckpointInterval != 0) return;
-  if (!checkpoints_.empty() && checkpoints_.back().first >= h) return;
+  if (checkpoints_.size() > 1 && checkpoints_.back().first >= h) return;
   auto snap = std::make_shared<LatusNode>(*this);
   // A snapshot must not hold snapshots of its own (and a restore must not
   // resurrect stale ones).
   snap->checkpoints_.clear();
   checkpoints_.emplace_back(h, std::move(snap));
-  if (checkpoints_.size() > kMaxCheckpoints) {
-    checkpoints_.erase(checkpoints_.begin());
+  // The ring evicts its oldest periodic entry, never the base.
+  if (checkpoints_.size() > kMaxCheckpoints + 1) {
+    checkpoints_.erase(checkpoints_.begin() + 1);
   }
 }
 
 std::optional<std::uint64_t> LatusNode::rollback_to_mc_ancestor(
     std::uint64_t mc_height) {
-  // Newest checkpoint at or below the fork point.
-  std::size_t pick = checkpoints_.size();
-  for (std::size_t i = checkpoints_.size(); i-- > 0;) {
+  if (checkpoints_.empty()) return std::nullopt;
+  // Newest periodic checkpoint at or below the fork point, else the base.
+  std::size_t pick = 0;
+  for (std::size_t i = checkpoints_.size(); i-- > 1;) {
     if (checkpoints_[i].first <= mc_height) {
       pick = i;
       break;
     }
   }
-  if (pick == checkpoints_.size()) return std::nullopt;
 
   // Keep the checkpoints up to (and including) the restored one; the
   // assignment below would otherwise wipe them.

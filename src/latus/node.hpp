@@ -27,7 +27,8 @@ class LatusNode {
   /// checkpoints its full state every kCheckpointInterval observed MC
   /// blocks (bounded ring of kMaxCheckpoints), so a rollback to a fork
   /// point restores the newest covering checkpoint and replays only the
-  /// MC blocks after it — instead of rebuilding from genesis.
+  /// MC blocks after it. A base checkpoint of the node before its first
+  /// observed MC block is never evicted and covers every older fork.
   static constexpr std::uint64_t kCheckpointInterval = 8;
   static constexpr std::size_t kMaxCheckpoints = 16;
   LatusNode(const SidechainId& ledger_id, std::uint64_t start_block,
@@ -114,11 +115,12 @@ class LatusNode {
   [[nodiscard]] std::optional<Digest> observed_mc_hash(
       std::uint64_t h) const;
 
-  /// Rolls the node back to the newest checkpoint whose last observed MC
-  /// height is <= mc_height (the fork point of a reorg). Returns the
-  /// restored observation height — the caller replays the new active
-  /// branch from the block after it — or nullopt when no retained
-  /// checkpoint is old enough (the node must be rebuilt from scratch).
+  /// Rolls the node back in place to the newest checkpoint whose last
+  /// observed MC height is <= mc_height (the fork point of a reorg), or
+  /// to the base checkpoint when none is, and returns the restored
+  /// observation height: the caller replays the new active branch from
+  /// the block after it. The base resumes at the height before the first
+  /// observed block. nullopt when the node has observed nothing.
   [[nodiscard]] std::optional<std::uint64_t> rollback_to_mc_ancestor(
       std::uint64_t mc_height);
 
@@ -191,8 +193,9 @@ class LatusNode {
   std::vector<ObservedCert> observed_history_;
 
   /// Reorg checkpoints, oldest first: (last observed MC height, snapshot).
-  /// Snapshots carry an empty checkpoint list of their own; copying a
-  /// LatusNode only bumps shared_ptr refcounts here.
+  /// Entry 0 is the base checkpoint, keyed one below the first observed
+  /// height. Snapshots carry an empty checkpoint list of their own;
+  /// copying a LatusNode only bumps shared_ptr refcounts here.
   std::vector<std::pair<std::uint64_t, std::shared_ptr<const LatusNode>>>
       checkpoints_;
 

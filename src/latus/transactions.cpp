@@ -119,18 +119,22 @@ std::string apply_payment(LatusState& state, const PaymentTx& tx) {
       !err.empty()) {
     return err;
   }
-  // Output slots must be free once inputs are removed; work on a copy so
-  // failure leaves the state untouched.
-  LatusState tmp = state;
+  // Check, then mutate: every output slot must be free once the inputs are
+  // removed, and no two outputs may share a slot.
+  std::unordered_set<std::uint64_t> freed, filled;
   for (const SignedInput& in : tx.inputs) {
-    if (!tmp.remove_utxo(in.utxo)) return "input vanished during apply";
+    freed.insert(mst_position(in.utxo, state.depth()));
   }
   for (const Utxo& o : tx.outputs) {
-    if (!tmp.insert_utxo(o)) {
+    std::uint64_t pos = mst_position(o, state.depth());
+    if (!filled.insert(pos).second ||
+        (state.mst().occupied(pos) && !freed.contains(pos))) {
       return "output position collision in the MST";
     }
   }
-  state = std::move(tmp);
+  // Neither loop can fail: validate_spend found every input in place.
+  for (const SignedInput& in : tx.inputs) (void)state.remove_utxo(in.utxo);
+  for (const Utxo& o : tx.outputs) (void)state.insert_utxo(o);
   return "";
 }
 
@@ -186,9 +190,8 @@ std::string apply_backward_transfer(LatusState& state,
       !err.empty()) {
     return err;
   }
-  for (const SignedInput& in : tx.inputs) {
-    if (!state.remove_utxo(in.utxo)) return "input vanished during apply";
-  }
+  // Cannot fail: validate_spend found every input in place.
+  for (const SignedInput& in : tx.inputs) (void)state.remove_utxo(in.utxo);
   for (const auto& bt : tx.backward_transfers) {
     state.push_backward_transfer(bt);
   }

@@ -225,8 +225,7 @@ std::string ChainState::disconnect_block(const BlockUndo& undo) {
 
 std::string ChainState::dry_run(const Block& block) const {
   if (!genesis_connected_) return check_genesis(block);
-  ReadOnlyView frozen(*this);
-  CacheView view(frozen);
+  CacheView view(*this);
   if (vctx_ != nullptr) {
     // Shares the validation runtime with connect_block: proofs verified
     // here are cached, so a later connect of the same block (the

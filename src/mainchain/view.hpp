@@ -10,14 +10,11 @@
 //   * StateView       — read interface (UTXO, sidechain status, nullifier
 //                       and active-chain lookups). ChainState implements
 //                       it as the backing store.
-//   * ReadOnlyView    — delegating adapter that exposes any StateView
-//                       without write access; dry_run stacks a CacheView
-//                       on top of it so validation can never touch the
-//                       backing store.
 //   * CacheView       — copy-on-write overlay: reads fall through to the
-//                       base, writes land in dirty-entry maps. connect
-//                       flushes the overlay in one batch; dry_run drops
-//                       it.
+//                       base (held as a const StateView&, so validation
+//                       can never touch the backing store), writes land
+//                       in dirty-entry maps. connect flushes the overlay
+//                       in one batch; dry_run drops it.
 //
 // Connecting a block also emits a BlockUndo record — the exact delta
 // needed to roll the tip back in O(delta): spent outputs, created
@@ -107,34 +104,6 @@ class WriteView : public StateView {
   void add_nullifier(const SidechainId& id, const Digest& nullifier) {
     add_nullifier_key(nullifier_key(id, nullifier));
   }
-};
-
-/// Read-only adapter: exposes `base` while statically ruling out writes.
-class ReadOnlyView final : public StateView {
- public:
-  explicit ReadOnlyView(const StateView& base) : base_(base) {}
-
-  [[nodiscard]] const TxOutput* find_utxo(const OutPoint& op) const override {
-    return base_.find_utxo(op);
-  }
-  [[nodiscard]] const SidechainStatus* find_sidechain(
-      const SidechainId& id) const override {
-    return base_.find_sidechain(id);
-  }
-  [[nodiscard]] bool nullifier_key_used(const Digest& key) const override {
-    return base_.nullifier_key_used(key);
-  }
-  [[nodiscard]] std::uint64_t height() const override { return base_.height(); }
-  [[nodiscard]] Digest tip_hash() const override { return base_.tip_hash(); }
-  [[nodiscard]] Digest hash_at_height(std::uint64_t h) const override {
-    return base_.hash_at_height(h);
-  }
-  [[nodiscard]] std::vector<SidechainId> sidechain_ids() const override {
-    return base_.sidechain_ids();
-  }
-
- private:
-  const StateView& base_;
 };
 
 /// Copy-on-write overlay over a base view. Reads consult the dirty-entry

@@ -446,13 +446,13 @@ TEST_F(EngineTest, ResyncHonoursDisabledAutoCertificates) {
   EXPECT_TRUE(engine_.mempool().certificates.empty());
 }
 
-TEST_F(EngineTest, ReorgBelowOldestCheckpointRebuildsNode) {
-  // Fork below every retained checkpoint: resync falls back to a full
-  // rebuild and still lands on the correct state.
+TEST_F(EngineTest, ReorgBelowFirstCheckpointRollsBackInPlace) {
+  // Fork below the first periodic checkpoint: resync restores the base
+  // checkpoint in place and still lands on the correct state.
   sc_id_ = hash_str(Domain::kGeneric, "sc-rebuild");
-  engine_.add_latus_sidechain(sc_id_, /*start_block=*/2, /*epoch_len=*/40,
-                              /*submit_len=*/20, {alice_}, /*mst_depth=*/10,
-                              /*slots_per_epoch=*/8);
+  LatusNode& node = engine_.add_latus_sidechain(
+      sc_id_, /*start_block=*/2, /*epoch_len=*/40, /*submit_len=*/20,
+      {alice_}, /*mst_depth=*/10, /*slots_per_epoch=*/8);
   run_to_height(2);
   engine_.queue_forward_transfer(sc_id_, alice_.address(),
                                  miner_key_.address(), 700);
@@ -470,13 +470,126 @@ TEST_F(EngineTest, ReorgBelowOldestCheckpointRebuildsNode) {
 
   engine_.resync_sidechains_after_reorg();
   LatusNode& resynced = engine_.sidechain(sc_id_);
+  EXPECT_EQ(&resynced, &node);
   EXPECT_EQ(resynced.last_observed_mc_height(),
             std::optional<std::uint64_t>(7));
+  EXPECT_EQ(resynced.height(), 7u);
   // The FT was above the fork: gone on the new branch.
   EXPECT_EQ(resynced.state().balance_of(alice_.address()), 0u);
   EXPECT_EQ(engine_.mc().state().find_sidechain(sc_id_)->balance, 0u);
   engine_.step();
   EXPECT_EQ(engine_.mc().height(), 8u);
+}
+
+/// A sidechain created at MC height 3, registered by block 4 and starting
+/// at 5: epoch 0 spans MC heights 5..8, so its certificate is built once
+/// height 8 is synced.
+constexpr std::uint64_t kLateCreation = 3;
+
+LatusNode& add_late_sidechain(Engine& engine, const mainchain::SidechainId& id,
+                              const KeyPair& forger) {
+  EXPECT_EQ(engine.mc().height(), kLateCreation);
+  return engine.add_latus_sidechain(id, /*start_block=*/5, /*epoch_len=*/4,
+                                    /*submit_len=*/2, {forger},
+                                    /*mst_depth=*/10, /*slots_per_epoch=*/8);
+}
+
+/// The reference: a fresh node fed only `engine`'s active chain from the
+/// block after the sidechain's creation.
+LatusNode reference_node(const Engine& engine, const mainchain::SidechainId& id,
+                         const KeyPair& forger) {
+  LatusNode ref(id, /*start_block=*/5, /*epoch_len=*/4, /*submit_len=*/2,
+                /*mst_depth=*/10, /*slots_per_epoch=*/8);
+  ref.add_forger(forger);
+  for (std::uint64_t h = kLateCreation + 1; h <= engine.mc().height(); ++h) {
+    const mainchain::Block* b =
+        engine.mc().find_block(engine.mc().hash_at_height(h));
+    EXPECT_NE(b, nullptr);
+    EXPECT_EQ(ref.observe_mc_block(*b), "");
+    EXPECT_EQ(ref.forge_until_synced(), "");
+  }
+  return ref;
+}
+
+TEST_F(EngineTest, ReorgBelowFirstCheckpointResumesFromCreationHeight) {
+  // A sidechain added at MC height 3 never observed heights 1..3. A fork
+  // below its first periodic checkpoint must not make it observe them.
+  run_to_height(kLateCreation);
+  sc_id_ = hash_str(Domain::kGeneric, "sc-late-reorg");
+  LatusNode& node = add_late_sidechain(engine_, sc_id_, alice_);
+  run_to_height(4);  // registration
+  ASSERT_TRUE(engine_.queue_forward_transfer(sc_id_, alice_.address(),
+                                             miner_key_.address(), 700));
+  run_to_height(6);  // FT at height 5
+  ASSERT_EQ(node.state().balance_of(alice_.address()), 700u);
+
+  // Rival branch forking at height 5, overtaking at 7, reaching 9 so that
+  // epoch 0 (heights 5..8) completes on it.
+  Digest prev = engine_.mc().hash_at_height(5);
+  for (std::uint64_t h = 6; h <= 9; ++h) {
+    mainchain::Block blk = rival_block(engine_, prev, h, bob_.address());
+    prev = blk.hash();
+    auto result = engine_.mc().submit_block(blk);
+    ASSERT_TRUE(result.accepted()) << result.error;
+  }
+  ASSERT_EQ(engine_.mc().height(), 9u);
+  ASSERT_TRUE(engine_.mempool().certificates.empty());
+
+  engine_.resync_sidechains_after_reorg();
+  LatusNode& resynced = engine_.sidechain(sc_id_);
+  EXPECT_EQ(&resynced, &node);
+  LatusNode ref = reference_node(engine_, sc_id_, alice_);
+  EXPECT_EQ(resynced.height(), ref.height());
+  EXPECT_EQ(resynced.height(), 6u);  // one SC block per MC block 4..9
+  EXPECT_EQ(resynced.state().commitment(), ref.state().commitment());
+  EXPECT_EQ(resynced.state().balance_of(alice_.address()), 700u);
+  auto ref_cert = ref.build_certificate();
+  ASSERT_TRUE(ref_cert.has_value());
+  ASSERT_EQ(engine_.mempool().certificates.size(), 1u);
+  EXPECT_EQ(engine_.mempool().certificates[0].hash(), ref_cert->hash());
+}
+
+TEST_F(EngineTest, GossipedFirstBlockCatchesUpFromCreationHeight) {
+  // The same sidechain on a peer that mines and on engine_, which only
+  // receives the peer's blocks. The first block engine_'s node sees
+  // arrives by gossip, with no reorg.
+  Engine peer(mainchain::ChainParams{}, miner_key_);
+  auto relay_tip = [&] {
+    auto result = engine_.submit_external_block(
+        *peer.mc().find_block(peer.mc().tip_hash()));
+    EXPECT_TRUE(result.accepted()) << result.error;
+    EXPECT_FALSE(result.reorged);
+  };
+  while (peer.mc().height() < kLateCreation) {
+    peer.step();
+    relay_tip();
+  }
+  sc_id_ = hash_str(Domain::kGeneric, "sc-late-gossip");
+  add_late_sidechain(peer, sc_id_, alice_);
+  LatusNode& node = add_late_sidechain(engine_, sc_id_, alice_);
+
+  peer.step();  // height 4: registration
+  relay_tip();
+  LatusNode& synced = engine_.sidechain(sc_id_);
+  EXPECT_EQ(&synced, &node);
+  EXPECT_EQ(synced.observed_mc_hash(1), std::nullopt);
+  EXPECT_EQ(synced.height(), 1u);
+
+  ASSERT_TRUE(peer.queue_forward_transfer(sc_id_, alice_.address(),
+                                          miner_key_.address(), 700));
+  while (peer.mc().height() < 9) {  // FT at 5; epoch 0 completes at 8
+    peer.step();
+    relay_tip();
+  }
+  EXPECT_EQ(&engine_.sidechain(sc_id_), &node);
+  LatusNode ref = reference_node(engine_, sc_id_, alice_);
+  EXPECT_EQ(synced.height(), ref.height());
+  EXPECT_EQ(synced.state().commitment(), ref.state().commitment());
+  EXPECT_EQ(synced.state().balance_of(alice_.address()), 700u);
+  auto ref_cert = ref.build_certificate();
+  ASSERT_TRUE(ref_cert.has_value());
+  ASSERT_EQ(engine_.mempool().certificates.size(), 1u);
+  EXPECT_EQ(engine_.mempool().certificates[0].hash(), ref_cert->hash());
 }
 
 }  // namespace

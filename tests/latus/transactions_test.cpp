@@ -98,6 +98,56 @@ TEST_F(PaymentTest, MultiInputPayment) {
   EXPECT_EQ(state.balance_of(alice.address()), 0u);
 }
 
+/// A payment with hand-picked outputs. The MST slot derives from the nonce
+/// alone, so reusing a nonce aims an output at that nonce's slot.
+PaymentTx signed_payment(const std::vector<Utxo>& inputs, const KeyPair& key,
+                         std::vector<Utxo> outputs) {
+  PaymentTx tx;
+  for (const Utxo& in : inputs) {
+    tx.inputs.push_back(SignedInput{in, key.public_key(), {}});
+  }
+  tx.outputs = std::move(outputs);
+  crypto::Signature sig = key.sign(tx.signing_digest());
+  for (SignedInput& in : tx.inputs) in.sig = sig;
+  return tx;
+}
+
+TEST_F(PaymentTest, OutputOnOccupiedSlotRejectedStateUntouched) {
+  Utxo coin = credit(alice, 100, "c1");
+  Utxo occupant = credit(bob, 5, "c2");
+  Digest commitment = state.commitment();
+  merkle::MstDelta delta = state.delta();
+  PaymentTx tx =
+      signed_payment({coin}, alice, {Utxo{bob.address(), 100, occupant.nonce}});
+  EXPECT_EQ(apply_payment(state, tx), "output position collision in the MST");
+  EXPECT_EQ(state.commitment(), commitment);
+  EXPECT_EQ(state.delta(), delta);
+  EXPECT_EQ(state.mst().occupied_count(), 2u);
+  EXPECT_TRUE(state.contains(coin));
+  EXPECT_TRUE(state.contains(occupant));
+}
+
+TEST_F(PaymentTest, OutputMayReuseItsOwnInputSlot) {
+  Utxo coin = credit(alice, 100, "c1");
+  Utxo out{bob.address(), 100, coin.nonce};
+  ASSERT_EQ(apply_payment(state, signed_payment({coin}, alice, {out})), "");
+  EXPECT_FALSE(state.contains(coin));
+  EXPECT_TRUE(state.contains(out));
+  EXPECT_EQ(state.balance_of(bob.address()), 100u);
+}
+
+TEST_F(PaymentTest, TwoOutputsSharingASlotRejected) {
+  Utxo coin = credit(alice, 100, "c1");
+  Digest commitment = state.commitment();
+  Digest nonce = hash_str(Domain::kGeneric, "shared-slot");
+  PaymentTx tx = signed_payment(
+      {coin}, alice,
+      {Utxo{bob.address(), 60, nonce}, Utxo{alice.address(), 40, nonce}});
+  EXPECT_EQ(apply_payment(state, tx), "output position collision in the MST");
+  EXPECT_EQ(state.commitment(), commitment);
+  EXPECT_TRUE(state.contains(coin));
+}
+
 using FtTest = Fixture;
 
 SyncedForwardTransfer synced_ft(std::vector<Digest> metadata, Amount amount,
