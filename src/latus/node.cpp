@@ -161,7 +161,8 @@ std::string LatusNode::forge_block() {
     LatusState pre = state_;
     if (std::string err = apply(state_, tx); !err.empty()) return err;
     epoch_steps_.push_back(snark::TransitionStep{
-        before, state_.commitment(), TransitionWitness{std::move(pre), tx}});
+        before, state_.commitment(),
+        TransitionWitness{std::move(pre), tx, memo_}});
     return "";
   };
 
@@ -196,14 +197,23 @@ std::string LatusNode::forge_block() {
 
   if (!boundary) {
     // Regular SC transactions; invalid ones are dropped (mempool policy).
+    // check_payment runs before record_step copies the state, so a payment
+    // the state refuses costs neither a copy nor a signature verify.
+    SignatureMemo* memo = memo_.get();
+    auto pay = [memo](LatusState& s, const PaymentTx& tx) {
+      return apply_payment(s, tx, memo);
+    };
+    auto burn = [memo](LatusState& s, const BackwardTransferTx& tx) {
+      return apply_backward_transfer(s, tx, memo);
+    };
     for (PaymentTx& tx : mempool_payments_) {
-      if (record_step(tx, apply_payment).empty()) {
+      if (check_payment(state_, tx).empty() && record_step(tx, pay).empty()) {
         block.payments.push_back(std::move(tx));
       }
     }
     mempool_payments_.clear();
     for (BackwardTransferTx& tx : mempool_bts_) {
-      if (record_step(tx, apply_backward_transfer).empty()) {
+      if (record_step(tx, burn).empty()) {
         block.bt_txs.push_back(std::move(tx));
       }
     }

@@ -42,6 +42,8 @@ class LatusNode {
   }
   [[nodiscard]] const LatusProofSystem& proofs() const { return proofs_; }
   [[nodiscard]] const LatusState& state() const { return state_; }
+  /// Signatures this node verified; its counters show the verify cost.
+  [[nodiscard]] const SignatureMemo& signature_memo() const { return *memo_; }
   [[nodiscard]] const std::vector<ScBlock>& chain() const { return chain_; }
   [[nodiscard]] std::uint64_t height() const { return chain_.size(); }
   [[nodiscard]] bool has_pending_refs() const {
@@ -162,6 +164,10 @@ class LatusNode {
   LatusProofSystem proofs_;
   LatusState state_;
   std::uint64_t slots_per_epoch_;
+  /// Shared with copies (checkpoints, rollback) and with the transition
+  /// witnesses this node records, so a payment's signature is verified once
+  /// per node: at forge time, and not again by its base proof.
+  std::shared_ptr<SignatureMemo> memo_ = std::make_shared<SignatureMemo>();
 
   std::vector<crypto::KeyPair> forgers_;
   std::vector<ScBlock> chain_;

@@ -36,7 +36,7 @@ snark::TransitionChecker make_checker() {
     LatusState state = w->before_state;
     if (state.commitment() != before) return false;
     TxVariant tx = w->tx;  // derived fields recomputed by apply
-    if (!apply_transaction(state, tx).empty()) return false;
+    if (!apply_transaction(state, tx, w->memo.get()).empty()) return false;
     return state.commitment() == after;
   };
 }

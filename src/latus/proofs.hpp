@@ -18,6 +18,7 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 
 #include "latus/block.hpp"
 #include "snark/recursive.hpp"
@@ -29,6 +30,10 @@ namespace zendoo::latus {
 struct TransitionWitness {
   LatusState before_state;
   TxVariant tx;
+  /// The forging node's signature memo, so the re-execution does not verify
+  /// again what the forger verified; null verifies every signature. It holds
+  /// successes only, so a tampered signature still fails.
+  std::shared_ptr<SignatureMemo> memo;
 };
 
 /// Inputs for building a withdrawal-certificate proof.

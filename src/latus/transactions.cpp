@@ -1,7 +1,5 @@
 #include "latus/transactions.hpp"
 
-#include <unordered_set>
-
 namespace zendoo::latus {
 
 namespace {
@@ -31,11 +29,11 @@ void write_bts(Hasher& h,
   for (const auto& bt : bts) h.write(bt.receiver).write_u64(bt.amount);
 }
 
-/// Shared validation for signature-authorized spends (PaymentTx / BTTx).
-std::string validate_spend(const LatusState& state,
-                           const std::vector<SignedInput>& inputs,
-                           const Digest& signing_digest,
-                           unsigned __int128 total_out) {
+/// Checks 1-3 of a signature-authorized spend (PaymentTx / BTTx): the
+/// stateful ones.
+std::string check_inputs(const LatusState& state,
+                         const std::vector<SignedInput>& inputs,
+                         unsigned __int128 total_out) {
   if (inputs.empty()) return "transaction has no inputs";
   std::unordered_set<std::uint64_t> spent_slots;
   unsigned __int128 total_in = 0;
@@ -46,16 +44,48 @@ std::string validate_spend(const LatusState& state,
     if (crypto::address_of(in.pubkey) != in.utxo.addr) {
       return "input public key does not match UTXO address";
     }
-    if (!crypto::verify_signature(in.pubkey, signing_digest, in.sig)) {
-      return "invalid input signature";
-    }
     total_in += in.utxo.amount;
   }
   if (total_in < total_out) return "transaction spends more than its inputs";
   return "";
 }
 
+/// Check 5, run last so a spend the state refuses costs no verify.
+std::string check_signatures(const std::vector<SignedInput>& inputs,
+                             const Digest& signing_digest,
+                             SignatureMemo* memo) {
+  for (const SignedInput& in : inputs) {
+    bool ok = memo != nullptr
+                  ? memo->verify(in.pubkey, signing_digest, in.sig)
+                  : crypto::verify_signature(in.pubkey, signing_digest, in.sig);
+    if (!ok) return "invalid input signature";
+  }
+  return "";
+}
+
 }  // namespace
+
+bool SignatureMemo::verify(const std::pair<crypto::u256, crypto::u256>& pubkey,
+                           const Digest& msg, const crypto::Signature& sig) {
+  Digest key = Hasher(Domain::kGeneric)
+                   .write_str("latus-signature-memo")
+                   .write(pubkey.first)
+                   .write(pubkey.second)
+                   .write(msg)
+                   .write(sig.rx)
+                   .write(sig.ry)
+                   .write(sig.s)
+                   .finalize();
+  if (verified_.contains(key)) {
+    ++hits_;
+    return true;
+  }
+  ++verifies_;
+  if (!crypto::verify_signature(pubkey, msg, sig)) return false;
+  if (verified_.size() >= kCapacity) verified_.clear();
+  verified_.insert(key);
+  return true;
+}
 
 Digest PaymentTx::signing_digest() const {
   Hasher h(Domain::kTxId);
@@ -111,16 +141,13 @@ Digest tx_id(const TxVariant& tx) {
   return std::visit([](const auto& t) { return t.id(); }, tx);
 }
 
-std::string apply_payment(LatusState& state, const PaymentTx& tx) {
+std::string check_payment(const LatusState& state, const PaymentTx& tx) {
   unsigned __int128 total_out = 0;
   for (const Utxo& o : tx.outputs) total_out += o.amount;
-  if (std::string err =
-          validate_spend(state, tx.inputs, tx.signing_digest(), total_out);
+  if (std::string err = check_inputs(state, tx.inputs, total_out);
       !err.empty()) {
     return err;
   }
-  // Check, then mutate: every output slot must be free once the inputs are
-  // removed, and no two outputs may share a slot.
   std::unordered_set<std::uint64_t> freed, filled;
   for (const SignedInput& in : tx.inputs) {
     freed.insert(mst_position(in.utxo, state.depth()));
@@ -132,7 +159,18 @@ std::string apply_payment(LatusState& state, const PaymentTx& tx) {
       return "output position collision in the MST";
     }
   }
-  // Neither loop can fail: validate_spend found every input in place.
+  return "";
+}
+
+std::string apply_payment(LatusState& state, const PaymentTx& tx,
+                          SignatureMemo* memo) {
+  if (std::string err = check_payment(state, tx); !err.empty()) return err;
+  if (std::string err = check_signatures(tx.inputs, tx.signing_digest(), memo);
+      !err.empty()) {
+    return err;
+  }
+  // Neither loop can fail: check_payment found every input in place and
+  // every output slot free.
   for (const SignedInput& in : tx.inputs) (void)state.remove_utxo(in.utxo);
   for (const Utxo& o : tx.outputs) (void)state.insert_utxo(o);
   return "";
@@ -179,18 +217,22 @@ std::string apply_forward_transfers(LatusState& state,
 }
 
 std::string apply_backward_transfer(LatusState& state,
-                                    const BackwardTransferTx& tx) {
+                                    const BackwardTransferTx& tx,
+                                    SignatureMemo* memo) {
   if (tx.backward_transfers.empty()) {
     return "backward transfer transaction with no transfers";
   }
   unsigned __int128 total_out = 0;
   for (const auto& bt : tx.backward_transfers) total_out += bt.amount;
-  if (std::string err =
-          validate_spend(state, tx.inputs, tx.signing_digest(), total_out);
+  if (std::string err = check_inputs(state, tx.inputs, total_out);
       !err.empty()) {
     return err;
   }
-  // Cannot fail: validate_spend found every input in place.
+  if (std::string err = check_signatures(tx.inputs, tx.signing_digest(), memo);
+      !err.empty()) {
+    return err;
+  }
+  // Cannot fail: check_inputs found every input in place.
   for (const SignedInput& in : tx.inputs) (void)state.remove_utxo(in.utxo);
   for (const auto& bt : tx.backward_transfers) {
     state.push_backward_transfer(bt);
@@ -218,16 +260,17 @@ std::string apply_btr(LatusState& state, BtrTx& tx) {
   return "";
 }
 
-std::string apply_transaction(LatusState& state, TxVariant& tx) {
+std::string apply_transaction(LatusState& state, TxVariant& tx,
+                              SignatureMemo* memo) {
   return std::visit(
       [&](auto& t) -> std::string {
         using T = std::decay_t<decltype(t)>;
         if constexpr (std::is_same_v<T, PaymentTx>) {
-          return apply_payment(state, t);
+          return apply_payment(state, t, memo);
         } else if constexpr (std::is_same_v<T, ForwardTransfersTx>) {
           return apply_forward_transfers(state, t);
         } else if constexpr (std::is_same_v<T, BackwardTransferTx>) {
-          return apply_backward_transfer(state, t);
+          return apply_backward_transfer(state, t, memo);
         } else {
           return apply_btr(state, t);
         }

@@ -9,15 +9,58 @@
 //
 // Application is transactional: on any validation failure the state is
 // unchanged and a diagnostic is returned.
+//
+// Check order of a signature-authorized spend (PaymentTx, BackwardTransferTx):
+// the stateful checks run first and the Schnorr check last, so a spend the
+// state refuses costs no signature verify.
+//   1. at least one input (a BTTx first needs at least one transfer);
+//   2. per input, in order: no duplicate slot, present in the MST, public key
+//      matches the UTXO address;
+//   3. inputs cover the outputs;
+//   4. PaymentTx only: every output slot is free once the inputs are removed,
+//      and no two outputs share a slot;
+//   5. every input signature verifies.
+// A transaction with one fault reports that fault; one with several reports
+// the first in this order.
 #pragma once
 
 #include <string>
+#include <unordered_set>
 #include <variant>
 
 #include "latus/state.hpp"
 #include "mainchain/types.hpp"
 
 namespace zendoo::latus {
+
+/// Verified-signature memo of one LatusNode, after Bitcoin Core's signature
+/// cache: it remembers the (public key, message, signature) triples that
+/// verified, keyed by a digest of the whole triple, and never a failure, so
+/// a lookup cannot accept a signature that was not verified. It lets the
+/// base proof's re-execution of a forged transaction skip the verify the
+/// forger already ran. Full at kCapacity entries, it is cleared: a miss only
+/// costs a re-verify. Not thread-safe; a node and the copies sharing its
+/// memo run on one thread.
+class SignatureMemo {
+ public:
+  static constexpr std::size_t kCapacity = std::size_t{1} << 14;
+
+  /// crypto::verify_signature, skipped when this exact triple verified
+  /// before.
+  [[nodiscard]] bool verify(const std::pair<crypto::u256, crypto::u256>& pubkey,
+                            const Digest& msg, const crypto::Signature& sig);
+
+  /// verify_signature calls run.
+  [[nodiscard]] std::uint64_t verifies() const { return verifies_; }
+  /// Calls answered from the memo.
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::size_t size() const { return verified_.size(); }
+
+ private:
+  std::unordered_set<Digest, crypto::DigestHash> verified_;
+  std::uint64_t verifies_ = 0;
+  std::uint64_t hits_ = 0;
+};
 
 /// An input being spent: the full UTXO plus its spending authorization.
 struct SignedInput {
@@ -97,18 +140,25 @@ using TxVariant =
 
 // ---- update functions (§5.3.x) ----
 // Each returns "" on success; on failure the state is untouched. FTTx and
-// BtrTx fill their derived fields.
+// BtrTx fill their derived fields. Signatures go through `memo` when one is
+// given, else through crypto::verify_signature.
 
-[[nodiscard]] std::string apply_payment(LatusState& state,
+/// Checks 1-4 of a payment (see the top of this file): everything but the
+/// signatures. "" means apply_payment can fail only on a signature.
+[[nodiscard]] std::string check_payment(const LatusState& state,
                                         const PaymentTx& tx);
+[[nodiscard]] std::string apply_payment(LatusState& state, const PaymentTx& tx,
+                                        SignatureMemo* memo = nullptr);
 [[nodiscard]] std::string apply_forward_transfers(LatusState& state,
                                                   ForwardTransfersTx& tx);
 [[nodiscard]] std::string apply_backward_transfer(
-    LatusState& state, const BackwardTransferTx& tx);
+    LatusState& state, const BackwardTransferTx& tx,
+    SignatureMemo* memo = nullptr);
 [[nodiscard]] std::string apply_btr(LatusState& state, BtrTx& tx);
 
 /// Dispatch over TxVariant.
-[[nodiscard]] std::string apply_transaction(LatusState& state, TxVariant& tx);
+[[nodiscard]] std::string apply_transaction(LatusState& state, TxVariant& tx,
+                                            SignatureMemo* memo = nullptr);
 
 // ---- builders ----
 

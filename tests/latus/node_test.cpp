@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
+#include "crypto/rng.hpp"
 #include "latus/validation.hpp"
 #include "mainchain/miner.hpp"
 
@@ -266,6 +269,61 @@ TEST_F(NodeTest, InvalidMempoolPaymentDropped) {
   EXPECT_EQ(node_.state().balance_of(alice_.address()), 1'000u);
 }
 
+/// A payment of `inputs` into hand-picked `outputs`, signed by `key`.
+PaymentTx signed_payment(const std::vector<Utxo>& inputs, const KeyPair& key,
+                         std::vector<Utxo> outputs) {
+  PaymentTx tx;
+  for (const Utxo& in : inputs) {
+    tx.inputs.push_back(SignedInput{in, key.public_key(), {}});
+  }
+  tx.outputs = std::move(outputs);
+  crypto::Signature sig = key.sign(tx.signing_digest());
+  for (SignedInput& in : tx.inputs) in.sig = sig;
+  return tx;
+}
+
+TEST_F(NodeTest, OneSignatureVerifyPerAppliedPayment) {
+  constexpr std::size_t kValid = 6, kColliding = 4;
+  fund_alice(100'000);
+  // Split the funding coin so every valid payment spends its own coin.
+  auto coins = node_.state().utxos_of(alice_.address());
+  node_.submit_payment(build_payment(
+      {coins[0]}, alice_,
+      std::vector<OutputSpec>(kValid + 1, {alice_.address(), 1'000})));
+  mine_and_observe({});
+  ASSERT_EQ(node_.forge_until_synced(), "");
+  coins = node_.state().utxos_of(alice_.address());
+  ASSERT_EQ(coins.size(), kValid + 1);
+  const Utxo& occupant = coins.back();
+
+  const SignatureMemo& memo = node_.signature_memo();
+  std::uint64_t verifies = memo.verifies(), hits = memo.hits();
+  // First K payments that aim an output at the occupant's slot, then N
+  // valid ones spending the same coins.
+  for (std::size_t i = 0; i < kColliding; ++i) {
+    node_.submit_payment(signed_payment(
+        {coins[i]}, alice_, {Utxo{bob_.address(), 1'000, occupant.nonce}}));
+  }
+  for (std::size_t i = 0; i < kValid; ++i) {
+    node_.submit_payment(
+        build_payment({coins[i]}, alice_, {{bob_.address(), 1'000}}));
+  }
+  mine_and_observe({});
+  ASSERT_EQ(node_.forge_until_synced(), "");
+  EXPECT_EQ(node_.chain().back().payments.size(), kValid);
+
+  while (chain_.height() < 5) {
+    mine_and_observe({});
+    ASSERT_EQ(node_.forge_until_synced(), "");
+  }
+  ASSERT_TRUE(node_.build_certificate().has_value());
+  // Forging verified each valid payment once and refused the colliding
+  // ones unverified; the base proofs re-executed the valid payments and the
+  // split from the memo.
+  EXPECT_EQ(memo.verifies() - verifies, kValid);
+  EXPECT_EQ(memo.hits() - hits, kValid + 1);
+}
+
 TEST_F(NodeTest, MultiForgerLeadershipRotates) {
   // With two funded stakeholders the slot schedule eventually picks both.
   node_.add_forger(bob_);
@@ -289,6 +347,189 @@ TEST_F(NodeTest, MultiForgerLeadershipRotates) {
   EXPECT_GT(forged_by[alice_.address()], 0);
   EXPECT_GT(forged_by[bob_.address()], 0);
 }
+
+/// The payment rule with the signature checked inside the input loop,
+/// before the amount and output checks, kept as a slow reference: the
+/// payment applies to a copy of the state, which replaces the state only
+/// on success.
+std::string reference_apply_payment(LatusState& state, const PaymentTx& tx) {
+  if (tx.inputs.empty()) return "transaction has no inputs";
+  Digest msg = tx.signing_digest();
+  std::unordered_set<std::uint64_t> slots;
+  unsigned __int128 total_in = 0, total_out = 0;
+  for (const SignedInput& in : tx.inputs) {
+    if (!slots.insert(mst_position(in.utxo, state.depth())).second) {
+      return "duplicate input";
+    }
+    if (!state.contains(in.utxo)) return "input not in the MST";
+    if (crypto::address_of(in.pubkey) != in.utxo.addr) {
+      return "input public key does not match UTXO address";
+    }
+    if (!crypto::verify_signature(in.pubkey, msg, in.sig)) {
+      return "invalid input signature";
+    }
+    total_in += in.utxo.amount;
+  }
+  for (const Utxo& o : tx.outputs) total_out += o.amount;
+  if (total_in < total_out) return "transaction spends more than its inputs";
+  LatusState copy = state;
+  for (const SignedInput& in : tx.inputs) (void)copy.remove_utxo(in.utxo);
+  for (const Utxo& o : tx.outputs) {
+    if (!copy.insert_utxo(o)) return "output position collision in the MST";
+  }
+  state = std::move(copy);
+  return "";
+}
+
+/// A seeded mix of valid payments and payments with one or two faults:
+/// output collisions, missing inputs, bad signatures, overspends, duplicate
+/// inputs and foreign keys. Coins may be picked twice (double spends).
+PaymentTx random_payment(crypto::Rng& rng, const std::vector<Utxo>& coins,
+                         const KeyPair& alice, const KeyPair& bob) {
+  const Utxo& coin = coins[rng.next_below(coins.size())];
+  const Utxo& other = coins[rng.next_below(coins.size())];
+  const KeyPair& owner = coin.addr == alice.address() ? alice : bob;
+  const KeyPair& payee = rng.next_below(2) == 0 ? alice : bob;
+  Amount half = coin.amount / 2;
+  PaymentTx tx;
+  switch (rng.next_below(9)) {
+    case 0:
+    case 1:  // valid
+      return build_payment({coin}, owner,
+                           {{payee.address(), half},
+                            {owner.address(), coin.amount - half}});
+    case 2:  // output aimed at another coin's slot
+      return signed_payment({coin}, owner,
+                            {Utxo{payee.address(), coin.amount, other.nonce}});
+    case 3: {  // input not in the state
+      Utxo ghost{owner.address(), coin.amount,
+                 crypto::Hasher(Domain::kGeneric).write_u64(rng.next_u64())
+                     .finalize()};
+      return build_payment({ghost}, owner, {{payee.address(), half}});
+    }
+    case 4:  // bad signature
+      tx = build_payment({coin}, owner, {{payee.address(), half}});
+      break;
+    case 5:  // overspend
+      return build_payment({coin}, owner,
+                           {{payee.address(), coin.amount + 1}});
+    case 6:  // duplicate input
+      return build_payment({coin, coin}, owner,
+                           {{payee.address(), coin.amount}});
+    case 7:  // signed by a key that does not own the coin
+      return build_payment({coin}, &owner == &alice ? bob : alice,
+                           {{payee.address(), half}});
+    default:  // two faults: a collision and a bad signature
+      tx = signed_payment({coin}, owner,
+                          {Utxo{payee.address(), coin.amount, other.nonce}});
+      break;
+  }
+  tx.inputs[0].sig.s = crypto::u256::addmod(
+      tx.inputs[0].sig.s, crypto::u256{1}, crypto::secp256k1::kN);
+  return tx;
+}
+
+/// NodeTest plus a twin node of the same sidechain that sees the same MC
+/// blocks but is handed only the payments the reference accepts.
+class ForgingDifferential : public NodeTest,
+                            public ::testing::WithParamInterface<int> {
+ protected:
+  ForgingDifferential()
+      : twin_(node_.mc_params().ledger_id, /*start=*/2, /*epoch_len=*/4,
+              /*submit_len=*/2, /*depth=*/10, /*slots=*/8) {
+    node_.add_forger(bob_);
+    twin_.add_forger(alice_);
+    twin_.add_forger(bob_);
+    const mainchain::Block& creation =
+        *chain_.find_block(chain_.hash_at_height(1));
+    if (!twin_.observe_mc_block(creation).empty()) {
+      throw std::logic_error("twin rejected the creation block");
+    }
+  }
+
+  void mine_both(const mainchain::Mempool& pool = {}) {
+    mainchain::Block b = mine_and_observe(pool);
+    ASSERT_EQ(node_.forge_until_synced(), "");
+    ASSERT_EQ(twin_.observe_mc_block(b), "");
+    ASSERT_EQ(twin_.forge_until_synced(), "");
+  }
+
+  void submit_both(const PaymentTx& tx) {
+    node_.submit_payment(tx);
+    twin_.submit_payment(tx);
+  }
+
+  LatusNode twin_;
+};
+
+TEST_P(ForgingDifferential, AcceptsWhatTheSignatureFirstReferenceAccepts) {
+  crypto::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  mainchain::Mempool funding;
+  funding.transactions.push_back(*wallet_.forward_transfer(
+      chain_.state(), node_.mc_params().ledger_id,
+      {alice_.address(), alice_.address()}, 160'000));
+  mine_both(funding);
+  std::vector<OutputSpec> split;
+  for (int i = 0; i < 16; ++i) {
+    split.push_back({(i % 2 == 0 ? alice_ : bob_).address(), 10'000});
+  }
+  submit_both(build_payment(node_.state().utxos_of(alice_.address()), alice_,
+                            split));
+  mine_both();
+  std::size_t first_block = node_.height();
+
+  LatusState reference = node_.state();
+  std::vector<Digest> accepted;
+  std::size_t submitted = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<Utxo> coins = reference.utxos_of(alice_.address());
+    for (const Utxo& u : reference.utxos_of(bob_.address())) {
+      coins.push_back(u);
+    }
+    for (int i = 0; i < 24; ++i, ++submitted) {
+      PaymentTx tx = random_payment(rng, coins, alice_, bob_);
+      node_.submit_payment(tx);
+      if (reference_apply_payment(reference, tx).empty()) {
+        accepted.push_back(tx.id());
+        twin_.submit_payment(tx);
+      }
+    }
+    // An epoch-boundary block (MC heights 5, 9, ...) takes no mempool
+    // transactions (§5.1.1); forge the payments in the block after it.
+    if ((chain_.height() + 1) % 4 == 1) mine_both();
+    mine_both();
+    EXPECT_EQ(node_.state().commitment(), reference.commitment());
+  }
+  EXPECT_GT(accepted.size(), 0u);
+  EXPECT_LT(accepted.size(), submitted);
+
+  std::vector<Digest> forged;
+  for (std::size_t h = first_block; h < node_.height(); ++h) {
+    for (const PaymentTx& tx : node_.chain()[h].payments) {
+      forged.push_back(tx.id());
+    }
+  }
+  EXPECT_EQ(forged, accepted);
+
+  while (chain_.height() % 4 != 1) mine_both();  // close the open epoch
+  ASSERT_EQ(node_.height(), twin_.height());
+  for (std::size_t h = 0; h < node_.height(); ++h) {
+    EXPECT_EQ(node_.chain()[h].hash(), twin_.chain()[h].hash()) << h;
+  }
+  EXPECT_EQ(node_.state().commitment(), twin_.state().commitment());
+  std::size_t certificates = 0;
+  while (auto cert = node_.build_certificate()) {
+    auto twin_cert = twin_.build_certificate();
+    ASSERT_TRUE(twin_cert.has_value());
+    EXPECT_EQ(cert->hash(), twin_cert->hash());
+    ++certificates;
+  }
+  EXPECT_FALSE(twin_.build_certificate().has_value());
+  EXPECT_EQ(certificates, 2u);  // epochs ending at MC heights 5 and 9
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ForgingDifferential,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace zendoo::latus

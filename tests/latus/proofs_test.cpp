@@ -66,6 +66,81 @@ TEST(LatusProofSystemTest, TransitionProverRejectsWrongStates) {
                std::invalid_argument);
 }
 
+/// One payment's transition, ready for prove_transition.
+struct PaymentTransition {
+  LatusState pre;
+  PaymentTx tx;
+  Digest before, after;
+};
+
+PaymentTransition payment_transition(const KeyPair& owner) {
+  LatusState state(8);
+  Utxo coin{owner.address(), 100, hash_str(Domain::kGeneric, "n")};
+  EXPECT_TRUE(state.insert_utxo(coin));
+  PaymentTransition t{state, build_payment({coin}, owner,
+                                           {{owner.address(), 100}}),
+                      state.commitment(), {}};
+  EXPECT_EQ(apply_payment(state, t.tx), "");
+  t.after = state.commitment();
+  return t;
+}
+
+TEST(LatusProofSystemTest, MemoizedGenuineSignatureDoesNotAdmitTamperedOne) {
+  LatusProofSystem sys(hash_str(Domain::kGeneric, "memo-sc"), 8);
+  PaymentTransition t =
+      payment_transition(KeyPair::from_seed(hash_str(Domain::kGeneric, "a")));
+  auto memo = std::make_shared<SignatureMemo>();
+  LatusState scratch = t.pre;
+  ASSERT_EQ(apply_payment(scratch, t.tx, memo.get()), "");
+  ASSERT_EQ(memo->size(), 1u);
+
+  PaymentTx tampered = t.tx;
+  tampered.inputs[0].sig.s = crypto::u256::addmod(
+      tampered.inputs[0].sig.s, crypto::u256{1}, crypto::secp256k1::kN);
+  EXPECT_THROW((void)sys.prove_transition(
+                   t.before, t.after,
+                   TransitionWitness{t.pre, TxVariant{tampered}, memo}),
+               std::invalid_argument);
+  EXPECT_EQ(memo->verifies(), 2u);  // the tampered one missed and failed
+  EXPECT_EQ(memo->size(), 1u);
+
+  // The genuine witness proves from the memo without a verify.
+  auto proof = sys.prove_transition(
+      t.before, t.after, TransitionWitness{t.pre, TxVariant{t.tx}, memo});
+  EXPECT_TRUE(sys.transitions().verify(t.before, t.after, proof));
+  EXPECT_EQ(memo->verifies(), 2u);
+  EXPECT_EQ(memo->hits(), 1u);
+}
+
+TEST(LatusProofSystemTest, GenuineWitnessProvesWithNullOrFreshMemo) {
+  LatusProofSystem sys(hash_str(Domain::kGeneric, "memo2-sc"), 8);
+  PaymentTransition t =
+      payment_transition(KeyPair::from_seed(hash_str(Domain::kGeneric, "a")));
+  auto plain = sys.prove_transition(
+      t.before, t.after, TransitionWitness{t.pre, TxVariant{t.tx}, nullptr});
+  EXPECT_TRUE(sys.transitions().verify(t.before, t.after, plain));
+
+  auto fresh = std::make_shared<SignatureMemo>();
+  auto proof = sys.prove_transition(
+      t.before, t.after, TransitionWitness{t.pre, TxVariant{t.tx}, fresh});
+  EXPECT_TRUE(sys.transitions().verify(t.before, t.after, proof));
+  EXPECT_EQ(fresh->verifies(), 1u);
+  EXPECT_EQ(fresh->hits(), 0u);
+}
+
+TEST(LatusProofSystemTest, FailedVerifyLeavesNothingInTheMemo) {
+  KeyPair alice = KeyPair::from_seed(hash_str(Domain::kGeneric, "a"));
+  Digest msg = hash_str(Domain::kGeneric, "msg");
+  crypto::Signature sig = alice.sign(msg);
+  sig.s = crypto::u256::addmod(sig.s, crypto::u256{1}, crypto::secp256k1::kN);
+  SignatureMemo memo;
+  EXPECT_FALSE(memo.verify(alice.public_key(), msg, sig));
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_FALSE(memo.verify(alice.public_key(), msg, sig));
+  EXPECT_EQ(memo.verifies(), 2u);  // verified again, never answered
+  EXPECT_EQ(memo.hits(), 0u);
+}
+
 TEST(LatusProofSystemTest, WcertEmptyEpochRules) {
   auto id = hash_str(Domain::kGeneric, "empty-sc");
   LatusProofSystem sys(id, 8);

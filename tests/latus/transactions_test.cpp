@@ -29,6 +29,14 @@ struct Fixture : ::testing::Test {
 
 using PaymentTest = Fixture;
 
+/// Adds one to the first input's signature scalar: still well-formed, no
+/// longer valid.
+template <typename Tx>
+void tamper_signature(Tx& tx) {
+  tx.inputs[0].sig.s = crypto::u256::addmod(
+      tx.inputs[0].sig.s, crypto::u256{1}, crypto::secp256k1::kN);
+}
+
 TEST_F(PaymentTest, ValidPaymentMovesCoins) {
   Utxo coin = credit(alice, 100, "c1");
   PaymentTx tx = build_payment({coin}, alice,
@@ -56,9 +64,7 @@ TEST_F(PaymentTest, WrongKeyRejected) {
 TEST_F(PaymentTest, TamperedSignatureRejected) {
   Utxo coin = credit(alice, 100, "c1");
   PaymentTx tx = build_payment({coin}, alice, {{bob.address(), 100}});
-  tx.inputs[0].sig.s =
-      crypto::u256::addmod(tx.inputs[0].sig.s, crypto::u256{1},
-                           crypto::secp256k1::kN);
+  tamper_signature(tx);
   EXPECT_NE(apply_payment(state, tx), "");
 }
 
@@ -148,6 +154,33 @@ TEST_F(PaymentTest, TwoOutputsSharingASlotRejected) {
   EXPECT_TRUE(state.contains(coin));
 }
 
+// The stateful checks run before the signature check, so a transaction
+// with both faults reports the stateful one.
+TEST_F(PaymentTest, CollisionReportedBeforeBadSignature) {
+  Utxo coin = credit(alice, 100, "c1");
+  Utxo occupant = credit(bob, 5, "c2");
+  PaymentTx tx =
+      signed_payment({coin}, alice, {Utxo{bob.address(), 100, occupant.nonce}});
+  tamper_signature(tx);
+  SignatureMemo memo;
+  EXPECT_EQ(apply_payment(state, tx, &memo),
+            "output position collision in the MST");
+  EXPECT_EQ(memo.verifies(), 0u);  // refused without a verify
+  EXPECT_TRUE(state.contains(coin));
+}
+
+TEST_F(PaymentTest, MemoVerifiesEachDistinctSignatureOnce) {
+  Utxo c1 = credit(alice, 60, "c1");
+  Utxo c2 = credit(alice, 40, "c2");
+  // build_payment signs once: both inputs carry the same signature.
+  PaymentTx tx = build_payment({c1, c2}, alice, {{bob.address(), 100}});
+  SignatureMemo memo;
+  ASSERT_EQ(apply_payment(state, tx, &memo), "");
+  EXPECT_EQ(memo.verifies(), 1u);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(state.balance_of(bob.address()), 100u);
+}
+
 using FtTest = Fixture;
 
 SyncedForwardTransfer synced_ft(std::vector<Digest> metadata, Amount amount,
@@ -231,6 +264,16 @@ TEST_F(BtTest, BtOverspendRejected) {
   BackwardTransferTx tx = build_backward_transfer(
       {coin}, alice, {{hash_str(Domain::kAddress, "mc-alice"), 101}});
   EXPECT_NE(apply_backward_transfer(state, tx), "");
+  EXPECT_TRUE(state.contains(coin));
+}
+
+TEST_F(BtTest, OverspendReportedBeforeBadSignature) {
+  Utxo coin = credit(alice, 100, "c1");
+  BackwardTransferTx tx = build_backward_transfer(
+      {coin}, alice, {{hash_str(Domain::kAddress, "mc-alice"), 101}});
+  tamper_signature(tx);
+  EXPECT_EQ(apply_backward_transfer(state, tx),
+            "transaction spends more than its inputs");
   EXPECT_TRUE(state.contains(coin));
 }
 
