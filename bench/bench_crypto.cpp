@@ -1,6 +1,7 @@
-// Per-primitive cost of the secp256k1/Schnorr layer: field multiply and
-// inverse, scalar mulmod mod n, fixed-base G*k and variable-base P*k, and
-// the three Schnorr operations the chain runs (keygen, sign, verify).
+// Per-primitive cost of the crypto layer: field multiply and inverse,
+// scalar mulmod mod n, fixed-base G*k and variable-base P*k, the three
+// Schnorr operations the chain runs (keygen, sign, verify), one SHA-256
+// compression on each routine, and one block-header hash (a PoW attempt).
 // Every benchmark cycles through 64 seeded inputs so no result is hoisted
 // out of the loop. The committed results are BENCH_crypto.json.
 #include <benchmark/benchmark.h>
@@ -8,7 +9,9 @@
 #include <vector>
 
 #include "crypto/ecc.hpp"
+#include "crypto/hash.hpp"
 #include "crypto/rng.hpp"
+#include "crypto/sha256_compress.hpp"
 
 namespace {
 
@@ -135,5 +138,47 @@ void BM_SchnorrVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerify);
+
+// Arg 0: the portable routine; 1: the one Sha256 runs on this host
+// (the SHA extensions where the CPU has them).
+void BM_Sha256Compress(benchmark::State& state) {
+  namespace detail = zendoo::crypto::sha256_detail;
+  const detail::CompressFn compress =
+      state.range(0) == 0 ? detail::compress_portable : detail::compress();
+  Rng rng(9);
+  std::vector<std::uint8_t> blocks(64 * kInputs);
+  for (std::uint8_t& b : blocks) b = static_cast<std::uint8_t>(rng.next_u64());
+  std::array<std::uint32_t, 8> h{};
+  for (std::uint32_t& w : h) w = static_cast<std::uint32_t>(rng.next_u64());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    compress(h, blocks.data() + 64 * (i++ % kInputs), 1);
+    benchmark::DoNotOptimize(h);
+  }
+}
+BENCHMARK(BM_Sha256Compress)->Arg(0)->Arg(1);
+
+// The 113-byte input of BlockHeader::hash (domain tag, previous hash,
+// height, tx root, SCTxsCommitment, nonce): one attempt of the PoW search.
+void BM_Sha256HeaderHash(benchmark::State& state) {
+  Rng rng(10);
+  std::vector<Digest> digests;
+  for (std::size_t i = 0; i < kInputs; ++i) digests.push_back(rng.next_digest());
+  const std::uint64_t height = rng.next_below(1'000'000);
+  std::uint64_t nonce = rng.next_u64();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    Digest d = Hasher(Domain::kBlockHeader)
+                   .write(digests[i % kInputs])
+                   .write_u64(height)
+                   .write(digests[(i + 1) % kInputs])
+                   .write(digests[(i + 2) % kInputs])
+                   .write_u64(nonce++)
+                   .finalize();
+    ++i;
+    benchmark::DoNotOptimize(d);
+  }
+}
+BENCHMARK(BM_Sha256HeaderHash);
 
 }  // namespace

@@ -3,6 +3,13 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/sha256_compress.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace zendoo::crypto {
 
 namespace {
@@ -28,11 +35,8 @@ inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
   return std::rotr(x, static_cast<int>(n));
 }
 
-}  // namespace
-
-Sha256::Sha256() : state_(kInitState) {}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(std::array<std::uint32_t, 8>& state,
+                   const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -48,8 +52,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -68,15 +72,129 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
+
+#if defined(__x86_64__)
+#define ZENDOO_SHANI __attribute__((target("sha,sse4.1")))
+
+// Four message words; they are big-endian, so each 32-bit lane is
+// byte-swapped.
+ZENDOO_SHANI inline __m128i load_words(const std::uint8_t* p) {
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL));
+}
+
+// Four rounds: each sha256rnds2 consumes two words of w + K, taken from the
+// low half of its third operand. The state lives in two registers in the
+// order the instruction wants, {A,B,E,F} and {C,D,G,H} (high lane first).
+ZENDOO_SHANI inline void quad_round(__m128i& abef, __m128i& cdgh, __m128i w,
+                                    std::size_t group) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(
+             reinterpret_cast<const __m128i*>(&kRoundConstants[group * 4])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+// The next four schedule words from the previous sixteen, w0 the oldest:
+// w[t] = sigma1(w[t-2]) + w[t-7] + sigma0(w[t-15]) + w[t-16].
+ZENDOO_SHANI inline __m128i next_words(__m128i w0, __m128i w1, __m128i w2,
+                                       __m128i w3) {
+  const __m128i t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                  _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(t, w3);
+}
+#endif
+
+}  // namespace
+
+namespace sha256_detail {
+
+void compress_portable(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* blocks, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) process_block(state, blocks + i * 64);
+}
+
+#if defined(__x86_64__)
+// The instruction sequence of Intel's SHA extensions white paper (also
+// Bitcoin Core's sha256_x86_shani.cpp), with the sixteen quad rounds rolled
+// into a loop over rotating schedule registers.
+ZENDOO_SHANI void compress_shani(std::array<std::uint32_t, 8>& state,
+                                 const std::uint8_t* blocks,
+                                 std::size_t count) {
+  // {A,B,C,D},{E,F,G,H} -> {A,B,E,F},{C,D,G,H}.
+  __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xB1);
+  __m128i cdgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, dcba, 0xF0);
+
+  for (std::size_t b = 0; b < count; ++b) {
+    const std::uint8_t* block = blocks + b * 64;
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w0 = load_words(block), w1 = load_words(block + 16);
+    __m128i w2 = load_words(block + 32), w3 = load_words(block + 48);
+    quad_round(abef, cdgh, w0, 0);
+    quad_round(abef, cdgh, w1, 1);
+    quad_round(abef, cdgh, w2, 2);
+    quad_round(abef, cdgh, w3, 3);
+    for (std::size_t group = 4; group < 16; group += 4) {
+      w0 = next_words(w0, w1, w2, w3);
+      quad_round(abef, cdgh, w0, group);
+      w1 = next_words(w1, w2, w3, w0);
+      quad_round(abef, cdgh, w1, group + 1);
+      w2 = next_words(w2, w3, w0, w1);
+      quad_round(abef, cdgh, w2, group + 2);
+      w3 = next_words(w3, w0, w1, w2);
+      quad_round(abef, cdgh, w3, group + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  // Back to {A,B,C,D},{E,F,G,H}.
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool shani_available() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+  const bool ssse3 = (c & bit_SSSE3) != 0, sse41 = (c & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  return ssse3 && sse41 && (b & bit_SHA) != 0;
+}
+#else
+bool shani_available() { return false; }
+#endif
+
+CompressFn compress() {
+  static const CompressFn selected = [] {
+#if defined(__x86_64__)
+    if (shani_available()) return &compress_shani;
+#endif
+    return &compress_portable;
+  }();
+  return selected;
+}
+
+}  // namespace sha256_detail
+
+Sha256::Sha256() : state_(kInitState) {}
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   if (data.empty()) return;  // empty spans may carry a null data()
@@ -88,13 +206,13 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      sha256_detail::compress()(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  if (const std::size_t blocks = (data.size() - offset) / 64; blocks != 0) {
+    sha256_detail::compress()(state_, data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -103,18 +221,20 @@ void Sha256::update(std::span<const std::uint8_t> data) {
 }
 
 std::array<std::uint8_t, 32> Sha256::finalize() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  std::uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit bit length. The
+  // buffer always has room for the 0x80 (buffer_len_ < 64 after update()).
+  const std::uint64_t bit_len = total_len_ * 8;
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    sha256_detail::compress()(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
   }
-  update(std::span<const std::uint8_t>(len_bytes, 8));
+  sha256_detail::compress()(state_, buffer_.data(), 1);
 
   std::array<std::uint8_t, 32> out;
   for (int i = 0; i < 8; ++i) {

@@ -3,6 +3,11 @@
 // This is the collision-resistant hash (Def 2.1 of the paper) underlying
 // every authenticated structure in the system: transaction ids, block
 // hashes, Merkle trees, nullifiers and SNARK proof binding.
+//
+// The compression function has two paths (sha256_compress.hpp): a portable
+// C++ one and one on the x86 SHA extensions. Each process picks one once,
+// from CPUID; both give the same digests, so nothing a hash feeds depends
+// on the host.
 #pragma once
 
 #include <array>
@@ -36,8 +41,6 @@ class Sha256 {
       std::span<const std::uint8_t> data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;
