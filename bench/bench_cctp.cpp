@@ -1,4 +1,4 @@
-// Experiments F6/F7/F8, F13, F14 (DESIGN.md): end-to-end cross-chain
+// Experiments F6/F7/F8, F13, F14: end-to-end cross-chain
 // transfer protocol costs through the full engine (MC mining + SC sync +
 // forging + recursive proving + certificate verification).
 //

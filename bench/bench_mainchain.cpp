@@ -1,4 +1,4 @@
-// Experiment F3 (DESIGN.md): mainchain-side costs of the CCTP — the Fig. 3
+// Experiment F3: mainchain-side costs of the CCTP — the Fig. 3
 // withdrawal-epoch machinery plus ordinary block processing.
 //
 // Series: block validation/connection vs payment count (signature-bound),

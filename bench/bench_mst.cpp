@@ -1,4 +1,4 @@
-// Experiments F9 and F15/F16 (DESIGN.md): Merkle State Tree costs — the
+// Experiments F9 and F15/F16: Merkle State Tree costs — the
 // Fig. 9 accounting structure and the Appendix-A mst_delta mechanism.
 //
 // Series: insert/erase/prove at various depths (all O(depth), independent

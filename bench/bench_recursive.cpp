@@ -1,4 +1,4 @@
-// Experiments F10/F11 (DESIGN.md): recursive SNARK composition over
+// Experiments F10/F11: recursive SNARK composition over
 // sidechain transitions — the Fig. 10 (per block) and Fig. 11 (per epoch)
 // merge trees.
 //
@@ -115,7 +115,7 @@ BENCHMARK(BM_EpochProofVerify)
     ->Complexity();
 
 void BM_SequentialMergeAblation(benchmark::State& state) {
-  // Ablation for the DESIGN.md merge-tree choice: merging proofs
+  // Ablation for the balanced merge tree of Figs. 10/11: merging proofs
   // left-to-right (a linear chain) instead of as a balanced tree. Same
   // total merge count (n-1) but recursion depth n-1 instead of log2 n — in
   // a real recursive SNARK each level adds a verifier circuit, so depth is

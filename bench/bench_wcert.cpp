@@ -1,4 +1,4 @@
-// Experiment T-VERIFY (DESIGN.md): the paper's central systems claim —
+// Experiment T-VERIFY: the paper's central systems claim —
 // "succinct proofs and constant time verification ... does not impose a
 // significant burden for the mainchain" (§4.1.2).
 //

@@ -1,5 +1,6 @@
 #include "core/certifier_baseline.hpp"
 
+#include <stdexcept>
 #include <unordered_set>
 
 namespace zendoo::core::baseline {

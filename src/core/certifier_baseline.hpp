@@ -8,7 +8,7 @@
 // least `threshold` valid certifier signatures. Mainchain verification
 // cost is therefore Θ(threshold) signature checks — versus Zendoo's single
 // constant-time SNARK verification. bench_wcert regenerates exactly this
-// comparison (experiment T-VERIFY in DESIGN.md).
+// comparison (experiment T-VERIFY, paper §4.1.2).
 #pragma once
 
 #include <vector>

@@ -145,11 +145,6 @@ inline Digest hash_pair(Domain domain, const Digest& left,
   return Hasher(domain).write(left).write(right).finalize();
 }
 
-/// Hash of an arbitrary byte string under a domain.
-inline Digest hash_bytes(Domain domain, std::span<const std::uint8_t> data) {
-  return Hasher(domain).write_bytes(data).finalize();
-}
-
 inline Digest hash_str(Domain domain, std::string_view s) {
   return Hasher(domain).write_str(s).finalize();
 }

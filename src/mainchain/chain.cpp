@@ -315,15 +315,6 @@ const Block* Blockchain::find_block(const Digest& hash) const {
   return it == blocks_.end() ? nullptr : &it->second;
 }
 
-std::vector<Digest> Blockchain::active_chain() const {
-  std::vector<Digest> out;
-  out.reserve(state_.height() + 1);
-  for (std::uint64_t h = 0; h <= state_.height(); ++h) {
-    out.push_back(state_.hash_at_height(h));
-  }
-  return out;
-}
-
 const BlockHeader* Blockchain::find_header(const Digest& hash) const {
   if (auto it = headers_.find(hash); it != headers_.end()) return &it->second;
   if (auto it = blocks_.find(hash); it != blocks_.end()) {

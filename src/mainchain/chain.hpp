@@ -199,8 +199,6 @@ class Blockchain {
   [[nodiscard]] Digest hash_at_height(std::uint64_t h) const {
     return state_.hash_at_height(h);
   }
-  /// Active chain as block hashes, genesis first.
-  [[nodiscard]] std::vector<Digest> active_chain() const;
 
   /// Reconfigures the validation pipeline (see ChainState) for this
   /// chain instance.
@@ -260,10 +258,6 @@ class Blockchain {
   [[nodiscard]] std::size_t orphan_count() const { return orphans_.size(); }
   [[nodiscard]] bool has_orphan(const Digest& hash) const {
     return orphans_.contains(hash);
-  }
-  /// True when `hash` is in the block tree (connected, any branch).
-  [[nodiscard]] bool has_block(const Digest& hash) const {
-    return blocks_.contains(hash);
   }
 
   // ---- Observability ----

@@ -269,14 +269,9 @@ class EclipseAttacker : public GarbageHeaderPeer {
   /// Partitions the net into {victim, attacker} vs everyone else.
   void eclipse(NodeId victim) {
     net_.partition({{victim, id()}});
-    eclipsed_ = victim;
   }
   /// Ends the eclipse (the victim's view of the honest net heals).
   void release() { net_.heal(); }
-  [[nodiscard]] std::optional<NodeId> eclipsed() const { return eclipsed_; }
-
- private:
-  std::optional<NodeId> eclipsed_;
 };
 
 /// One scheduled action.

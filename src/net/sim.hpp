@@ -178,7 +178,6 @@ class SimNet {
   /// rolling digest, so each mode only covers the events recorded while
   /// it was active.
   void set_trace_mode(TraceMode mode) { trace_mode_ = mode; }
-  [[nodiscard]] TraceMode trace_mode() const { return trace_mode_; }
 
   /// Full delivery trace since construction (kFull mode only; empty in
   /// kDigest/kOff), for replay-identity checks.

@@ -8,8 +8,10 @@ namespace zendoo::snark {
 
 namespace {
 
+// Points at the caller's transition, which outlives the prove call, so
+// proving a base step never copies it.
 struct BaseWitness {
-  std::any transition;
+  const std::any* transition;
 };
 
 struct MergeWitness {
@@ -46,7 +48,7 @@ TransitionProofSystem::TransitionProofSystem(TransitionChecker checker,
     const StateDigest& before = statement[0];
     const StateDigest& after = statement[1];
     if (const auto* base = std::get_if<BaseWitness>(rw)) {
-      return checker_copy(before, after, base->transition);
+      return checker_copy(before, after, *base->transition);
     }
     const auto& merge = std::get<MergeWitness>(*rw);
     return PredicateSnark::verify(*vk_slot, make_statement(before, merge.mid),
@@ -66,7 +68,7 @@ Proof TransitionProofSystem::prove_base(const StateDigest& before,
                                         const std::any& transition) const {
   auto proof = PredicateSnark::prove(
       pk_, make_statement(before, after),
-      RecursiveWitness{BaseWitness{transition}});
+      RecursiveWitness{BaseWitness{&transition}});
   if (!proof) {
     throw std::invalid_argument(
         "TransitionProofSystem::prove_base: transition does not connect the "

@@ -20,8 +20,7 @@ class Oracle {
  public:
   struct Entry {
     Digest secret;
-    Predicate predicate;                          // for PredicateSnark
-    std::shared_ptr<const ConstraintSystem> cs;   // for R1csSnark
+    Predicate predicate;
   };
 
   static Oracle& instance() {
@@ -62,13 +61,6 @@ Digest bind_proof(const Digest& secret, const Statement& statement) {
   return h.finalize();
 }
 
-Statement field_statement(const std::vector<u256>& public_input) {
-  Statement s;
-  s.reserve(public_input.size());
-  for (const u256& v : public_input) s.push_back(Digest::from_u256(v));
-  return s;
-}
-
 }  // namespace
 
 std::pair<ProvingKey, VerifyingKey> PredicateSnark::setup(Predicate circuit,
@@ -89,7 +81,7 @@ std::optional<Proof> PredicateSnark::prove(const ProvingKey& pk,
                                            const Statement& statement,
                                            const Witness& witness) {
   const Oracle::Entry* e = Oracle::instance().find(pk.id);
-  if (e == nullptr || !e->predicate) {
+  if (e == nullptr) {
     throw std::invalid_argument("PredicateSnark::prove: unknown proving key");
   }
   if (!e->predicate(statement, witness)) return std::nullopt;
@@ -104,43 +96,8 @@ bool PredicateSnark::verify(const VerifyingKey& vk, const Statement& statement,
   return proof.binding == bind_proof(e->secret, statement);
 }
 
-std::pair<ProvingKey, VerifyingKey> R1csSnark::setup(
-    std::shared_ptr<const ConstraintSystem> cs, std::string label) {
-  if (!cs) throw std::invalid_argument("R1csSnark::setup: null circuit");
-  Digest circuit_id = cs->structure_hash();
-  Oracle::Entry entry;
-  entry.cs = std::move(cs);
-  Digest id =
-      Oracle::instance().register_entry(std::move(entry), label, circuit_id);
-  return {ProvingKey{id}, VerifyingKey{id}};
-}
-
-std::optional<Proof> R1csSnark::prove(const ProvingKey& pk,
-                                      const std::vector<u256>& public_input,
-                                      const std::vector<u256>& witness) {
-  const Oracle::Entry* e = Oracle::instance().find(pk.id);
-  if (e == nullptr || !e->cs) {
-    throw std::invalid_argument("R1csSnark::prove: unknown proving key");
-  }
-  if (!e->cs->is_satisfied(public_input, witness)) return std::nullopt;
-  return Proof{bind_proof(e->secret, field_statement(public_input))};
-}
-
-bool R1csSnark::verify(const VerifyingKey& vk,
-                       const std::vector<u256>& public_input,
-                       const Proof& proof) {
-  if (vk.is_null()) return false;
-  const Oracle::Entry* e = Oracle::instance().find(vk.id);
-  if (e == nullptr) return false;
-  return proof.binding == bind_proof(e->secret, field_statement(public_input));
-}
-
 Digest statement_u64(std::uint64_t v) {
   return Hasher(Domain::kSnarkStatement).write_u64(v).finalize();
-}
-
-Digest statement_field(const u256& v) {
-  return Hasher(Domain::kSnarkStatement).write(v).finalize();
 }
 
 }  // namespace zendoo::snark

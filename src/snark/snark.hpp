@@ -1,37 +1,34 @@
-// Simulated SNARK proving systems (paper §2.1 Def 2.3).
+// Simulated SNARK proving system (paper §2.1 Def 2.3).
 //
-// Two provers share one verification interface:
+// PredicateSnark is the one prover: the "compiled circuit" is an arbitrary
+// C++ predicate over (statement, witness). It stands in for every SNARK the
+// protocol uses — the sidechain-defined circuits the paper registers at
+// sidechain creation (wcert_vk, btr_vk, csw_vk) and the recursive Base/Merge
+// circuits of Defs 2.4–2.5 — whose circuits are far too large to hand-write
+// as constraint systems.
 //
-//   * R1csSnark      — proves satisfiability of an explicit R1CS circuit;
-//                      used where circuits are small enough to express
-//                      directly (bench_snark, demo circuits).
-//   * PredicateSnark — the "compiled circuit" simulation: the circuit is an
-//                      arbitrary C++ predicate over (statement, witness).
-//                      This stands in for the sidechain-defined SNARKs the
-//                      paper registers at sidechain creation (wcert_vk,
-//                      btr_vk, csw_vk), whose circuits are far too large to
-//                      hand-write as R1CS.
-//
-// Simulation model (documented in DESIGN.md §3): Setup deposits a secret in
-// a process-global oracle keyed by the key id; Prove checks that the
-// witness actually satisfies the circuit and only then emits the 32-byte
-// binding proof = H(secret ‖ circuit ‖ statement); Verify recomputes it.
-// Completeness, knowledge-soundness (no path constructs a valid proof
-// without a satisfying witness, short of guessing a 256-bit MAC) and
-// succinctness (constant proof size, O(|statement|) verification) all hold.
+// Simulation model: Setup deposits a secret in a process-global oracle keyed
+// by the key id; Prove checks that the witness actually satisfies the
+// circuit and only then emits the 32-byte binding proof =
+// H(secret ‖ statement); Verify recomputes it. Completeness,
+// knowledge-soundness (no path constructs a valid proof without a satisfying
+// witness, short of guessing a 256-bit MAC) and succinctness (constant proof
+// size, O(|statement|) verification) all hold.
 #pragma once
 
 #include <any>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/hash.hpp"
-#include "snark/r1cs.hpp"
 
 namespace zendoo::snark {
+
+using crypto::Digest;
 
 /// Constant-size (32-byte) proof, as Def 2.3's succinctness requires.
 struct Proof {
@@ -97,26 +94,7 @@ class PredicateSnark {
                      const Proof& proof);
 };
 
-/// SNARK over an explicit R1CS constraint system.
-class R1csSnark {
- public:
-  /// Bootstrap for circuit `cs` (Def 2.3's Setup(C, 1^λ)).
-  static std::pair<ProvingKey, VerifyingKey> setup(
-      std::shared_ptr<const ConstraintSystem> cs, std::string label);
-
-  /// π ← Prove(pk, a, w); nullopt when (a, w) does not satisfy C.
-  static std::optional<Proof> prove(const ProvingKey& pk,
-                                    const std::vector<u256>& public_input,
-                                    const std::vector<u256>& witness);
-
-  /// true/false ← Verify(vk, a, π).
-  static bool verify(const VerifyingKey& vk,
-                     const std::vector<u256>& public_input,
-                     const Proof& proof);
-};
-
-/// Statement helpers: encode common protocol values as statement digests.
+/// Statement helper: encodes an integer as a statement digest.
 Digest statement_u64(std::uint64_t v);
-Digest statement_field(const u256& v);
 
 }  // namespace zendoo::snark

@@ -56,6 +56,35 @@ TEST(Recursive, BaseProofRejectsInvalidTransition) {
                std::invalid_argument);
 }
 
+// A transition that counts its copies (moves are free), to show that
+// prove_base hands the caller's witness to the checker without copying it.
+struct CountedStep {
+  static inline int copies = 0;
+  Counter::Step step;
+
+  explicit CountedStep(Counter::Step s) : step(s) {}
+  CountedStep(const CountedStep& other) : step(other.step) { ++copies; }
+  CountedStep(CountedStep&&) noexcept = default;
+  CountedStep& operator=(const CountedStep&) = delete;
+  CountedStep& operator=(CountedStep&&) = delete;
+};
+
+TEST(Recursive, BaseProofDoesNotCopyTheTransition) {
+  TransitionProofSystem sys(
+      [](const StateDigest& before, const StateDigest& after,
+         const std::any& t) {
+        const auto* counted = std::any_cast<CountedStep>(&t);
+        return counted != nullptr &&
+               Counter::checker()(before, after, counted->step);
+      },
+      "counter-no-copy");
+  const std::any transition{CountedStep{Counter::Step{0, 5}}};
+  CountedStep::copies = 0;
+  Proof p = sys.prove_base(Counter::state(0), Counter::state(5), transition);
+  EXPECT_EQ(CountedStep::copies, 0);
+  EXPECT_TRUE(sys.verify(Counter::state(0), Counter::state(5), p));
+}
+
 TEST(Recursive, MergeCombinesAdjacentProofs) {
   TransitionProofSystem sys(Counter::checker(), "counter-merge");
   Proof p1 = sys.prove_base(Counter::state(0), Counter::state(3),

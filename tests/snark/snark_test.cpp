@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 namespace zendoo::snark {
 namespace {
 
@@ -103,38 +101,8 @@ TEST(PredicateSnark, DeterministicSetupPerLabel) {
   EXPECT_EQ(vk1, vk2);
 }
 
-TEST(R1csSnarkTest, ProveVerifyRoundTrip) {
-  auto cs = std::make_shared<ConstraintSystem>();
-  std::uint32_t out = cs->allocate_public();
-  std::uint32_t x = cs->allocate_witness();
-  std::uint32_t x2 = cs->mul(x, x);
-  cs->enforce_equal(x2, out);
-
-  auto [pk, vk] = R1csSnark::setup(cs, "square");
-  // x=6, out=36; witness order: x, x2.
-  auto proof = R1csSnark::prove(pk, {u256{36}}, {u256{6}, u256{36}});
-  ASSERT_TRUE(proof.has_value());
-  EXPECT_TRUE(R1csSnark::verify(vk, {u256{36}}, *proof));
-  EXPECT_FALSE(R1csSnark::verify(vk, {u256{35}}, *proof));
-}
-
-TEST(R1csSnarkTest, UnsatisfiedWitnessYieldsNoProof) {
-  auto cs = std::make_shared<ConstraintSystem>();
-  std::uint32_t out = cs->allocate_public();
-  std::uint32_t x = cs->allocate_witness();
-  std::uint32_t x2 = cs->mul(x, x);
-  cs->enforce_equal(x2, out);
-  auto [pk, vk] = R1csSnark::setup(cs, "square2");
-  EXPECT_FALSE(R1csSnark::prove(pk, {u256{36}}, {u256{5}, u256{25}}));
-}
-
-TEST(R1csSnarkTest, NullCircuitRejected) {
-  EXPECT_THROW(R1csSnark::setup(nullptr, "x"), std::invalid_argument);
-}
-
 TEST(StatementHelpers, Distinct) {
   EXPECT_NE(statement_u64(1), statement_u64(2));
-  EXPECT_NE(statement_field(u256{1}), statement_u64(1));
   EXPECT_EQ(statement_u64(1), statement_u64(1));
 }
 
